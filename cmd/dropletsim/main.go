@@ -271,9 +271,6 @@ func run(rf runFlags) error {
 	if err != nil {
 		return err
 	}
-	if rf.stream && rf.telemFormat != "" {
-		return fmt.Errorf("-telemetry is not supported with -stream (use the materialized path)")
-	}
 
 	// In -json mode stdout carries only the JSON summary; everything
 	// human-readable moves to stderr so result diffs across runs and
@@ -306,12 +303,24 @@ func run(rf runFlags) error {
 		cfg.LLC.SizeBytes = rf.llcKB << 10
 	}
 
-	var r *sim.Result
+	var simulate func(sim.Options) (*sim.Result, error)
 	var events int64
 	if rf.stream {
-		r, err = runStreaming(rf, a, sc, cfg, sample, info)
+		simulate, err = prepareStream(rf, a, sc, cfg, info)
 	} else {
-		r, events, err = runMaterialized(rf, a, sc, cfg, sample, info)
+		simulate, events, err = prepareTrace(rf, a, sc, cfg, info)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(info, "simulating on %dKB/%dKB/%dKB hierarchy with %v...\n",
+		cfg.L1.SizeBytes>>10, cfg.L2.SizeBytes>>10, cfg.LLC.SizeBytes>>10, cfg.Prefetcher)
+	opts := sim.Options{Sampling: sample, EpochCycles: rf.epochCyc}
+	var r *sim.Result
+	if rf.telemFormat != "" {
+		r, err = runWithTelemetry(rf, a, simulate, opts, info)
+	} else {
+		r, err = simulate(opts)
 	}
 	if err != nil {
 		return err
@@ -332,10 +341,9 @@ func run(rf runFlags) error {
 	return nil
 }
 
-// runMaterialized generates (or loads) the full trace and simulates it,
-// optionally under sampling/telemetry. It returns the event count for
-// the footprint report.
-func runMaterialized(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.Config, sample sim.Sampling, info io.Writer) (*sim.Result, int64, error) {
+// prepareTrace generates (or loads) the full trace and returns the
+// simulation over it, plus the event count for the footprint report.
+func prepareTrace(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.Config, info io.Writer) (func(sim.Options) (*sim.Result, error), int64, error) {
 	var tr *trace.Trace
 	if rf.graphEL != "" {
 		g, err := loadGraph(rf.graphEL, a, info)
@@ -356,37 +364,14 @@ func runMaterialized(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg s
 		}
 	}
 	fmt.Fprintf(info, "  %d events, %d instructions, %d cores\n", tr.Events(), tr.Instructions, tr.NumCores())
-	fmt.Fprintf(info, "simulating on %dKB/%dKB/%dKB hierarchy with %v...\n",
-		cfg.L1.SizeBytes>>10, cfg.L2.SizeBytes>>10, cfg.LLC.SizeBytes>>10, cfg.Prefetcher)
-
-	var r *sim.Result
-	var err error
-	if rf.telemFormat != "" {
-		benchName := rf.dataset
-		if rf.graphEL != "" {
-			benchName = rf.graphEL
-		}
-		r, err = runWithTelemetry(tr, cfg, rf.telemFormat, rf.telemOut, rf.epochCyc, sample, telemetry.RunMeta{
-			Benchmark:   fmt.Sprintf("%v-%s", a, benchName),
-			Kernel:      a.String(),
-			EpochCycles: rf.epochCyc,
-		}, info)
-	} else if sample.Enabled() {
-		r, err = sim.Simulate(context.Background(), tr, cfg, sim.Options{
-			Sampling:    sample,
-			EpochCycles: rf.epochCyc,
-		})
-	} else {
-		r, err = sim.Run(tr, cfg)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, tr.Events(), nil
+	return func(opts sim.Options) (*sim.Result, error) {
+		return sim.Simulate(context.Background(), tr, cfg, opts)
+	}, tr.Events(), nil
 }
 
-// runStreaming replays the benchmark through the pull-based generator.
-func runStreaming(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.Config, sample sim.Sampling, info io.Writer) (*sim.Result, error) {
+// prepareStream sets up the pull-based generator and returns the
+// simulation over it.
+func prepareStream(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.Config, info io.Writer) (func(sim.Options) (*sim.Result, error), error) {
 	var st *trace.Stream
 	if rf.graphEL != "" {
 		g, err := loadGraph(rf.graphEL, a, info)
@@ -407,12 +392,9 @@ func runStreaming(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.
 		}
 	}
 	fmt.Fprintf(info, "  window %d events/core, %d cores\n", st.WindowEvents(), st.NumCores())
-	fmt.Fprintf(info, "simulating on %dKB/%dKB/%dKB hierarchy with %v...\n",
-		cfg.L1.SizeBytes>>10, cfg.L2.SizeBytes>>10, cfg.LLC.SizeBytes>>10, cfg.Prefetcher)
-	return sim.SimulateStream(context.Background(), st, cfg, sim.Options{
-		Sampling:    sample,
-		EpochCycles: rf.epochCyc,
-	})
+	return func(opts sim.Options) (*sim.Result, error) {
+		return sim.SimulateStream(context.Background(), st, cfg, opts)
+	}, nil
 }
 
 // loadGraph reads a custom edge-list graph.
@@ -430,20 +412,30 @@ func loadGraph(path string, a workload.Algorithm, info io.Writer) (*graph.CSR, e
 	return g, nil
 }
 
-// runWithTelemetry wraps the single-run simulation with an epoch
-// collector streaming to the chosen sink format.
-func runWithTelemetry(tr *trace.Trace, cfg sim.Config, format, outPath string, epochCyc int64, sample sim.Sampling, meta telemetry.RunMeta, info io.Writer) (*sim.Result, error) {
+// runWithTelemetry runs simulate under opts with an epoch collector
+// streaming to the chosen sink format.
+func runWithTelemetry(rf runFlags, a workload.Algorithm, simulate func(sim.Options) (*sim.Result, error), opts sim.Options, info io.Writer) (*sim.Result, error) {
+	outPath := rf.telemOut
 	if outPath == "" {
-		outPath = "telemetry." + format
+		outPath = "telemetry." + rf.telemFormat
 	}
 	var mkSink func(io.Writer) telemetry.Sink
-	switch format {
+	switch rf.telemFormat {
 	case "jsonl":
 		mkSink = func(w io.Writer) telemetry.Sink { return telemetry.NewJSONLSink(w) }
 	case "csv":
 		mkSink = func(w io.Writer) telemetry.Sink { return telemetry.NewCSVSink(w) }
 	default:
-		return nil, fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", format)
+		return nil, fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", rf.telemFormat)
+	}
+	benchName := rf.dataset
+	if rf.graphEL != "" {
+		benchName = rf.graphEL
+	}
+	meta := telemetry.RunMeta{
+		Benchmark:   fmt.Sprintf("%v-%s", a, benchName),
+		Kernel:      a.String(),
+		EpochCycles: rf.epochCyc,
 	}
 	if meta.EpochCycles == 0 {
 		meta.EpochCycles = sim.DefaultEpochCycles
@@ -452,12 +444,8 @@ func runWithTelemetry(tr *trace.Trace, cfg sim.Config, format, outPath string, e
 	if err != nil {
 		return nil, err
 	}
-	col := telemetry.NewCollector(mkSink(f), meta)
-	r, simErr := sim.Simulate(context.Background(), tr, cfg, sim.Options{
-		Observer:    col,
-		EpochCycles: epochCyc,
-		Sampling:    sample,
-	})
+	opts.Observer = telemetry.NewCollector(mkSink(f), meta)
+	r, simErr := simulate(opts)
 	if closeErr := f.Close(); simErr == nil {
 		simErr = closeErr
 	}

@@ -333,9 +333,8 @@ var Prefetchers = core.AllKinds
 func ParsePrefetcher(s string) (Prefetcher, error) { return core.ParseKind(s) }
 
 // Replacement selects a cache replacement policy. Set it per level on
-// MachineConfig (cfg.LLC.Policy = droplet.ReplacementDRRIP) or sweep the
-// LLC — the lever graph workloads are most sensitive to (Jamet et al.) —
-// per run with WithReplacement.
+// MachineConfig (cfg.LLC.Policy = droplet.ReplacementDRRIP); the LLC's is
+// the lever graph workloads are most sensitive to (Jamet et al.).
 type Replacement = cache.Kind
 
 // The implemented replacement policies. LRU is the default; Random draws
@@ -470,27 +469,6 @@ func ParseWarming(s string) (Warming, error) { return sim.ParseWarming(s) }
 // Result.Sampled carries the extrapolated estimate.
 func WithSampling(s Sampling) Option {
 	return func(o *sim.Options) { o.Sampling = s }
-}
-
-// WithReplacement overrides the LLC replacement policy for one run,
-// leaving the MachineConfig untouched (private L1/L2 policies are set
-// directly on the config's cache levels).
-func WithReplacement(k Replacement) Option {
-	return func(o *sim.Options) { o.Replacement = &k }
-}
-
-// WithPrefetcher overrides the prefetcher configuration for one run,
-// leaving the MachineConfig untouched — the per-run lever the engine
-// comparison matrix sweeps.
-func WithPrefetcher(k Prefetcher) Option {
-	return func(o *sim.Options) { o.Prefetcher = &k }
-}
-
-// WithDepRingEvents overrides the streaming dependency-ring capacity
-// (the farthest-back Event.Dep a streaming core can resolve; default
-// core.DefaultDepRingEvents). Only consulted by SimulateStream.
-func WithDepRingEvents(n int) Option {
-	return func(o *sim.Options) { o.DepRingEvents = n }
 }
 
 // Simulate runs tr on a machine built from cfg, honoring ctx

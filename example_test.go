@@ -66,8 +66,8 @@ func ExampleSimulate() {
 	// deterministic result: true
 }
 
-// ExampleSimulate_replacement swaps the LLC replacement policy through
-// the same options seam. Policies are parsed by name (ParseReplacement
+// ExampleSimulate_replacement swaps the LLC replacement policy on the
+// machine config. Policies are parsed by name (ParseReplacement
 // round-trips every Replacements() entry), and every policy — including
 // the seeded Random — is fully deterministic, so A/B runs are exactly
 // reproducible.
@@ -77,16 +77,15 @@ func ExampleSimulate_replacement() {
 
 	cfg := droplet.ExperimentMachine()
 	cfg.LLC.SizeBytes = 4 << 10 // shrink so this tiny graph forces LLC evictions
+	lru, _ := droplet.Simulate(context.Background(), tr, cfg)
 
 	pol, err := droplet.ParseReplacement("drrip")
 	if err != nil {
 		panic(err)
 	}
-	lru, _ := droplet.Simulate(context.Background(), tr, cfg)
-	drrip, _ := droplet.Simulate(context.Background(), tr, cfg,
-		droplet.WithReplacement(pol))
-	again, _ := droplet.Simulate(context.Background(), tr, cfg,
-		droplet.WithReplacement(pol))
+	cfg.LLC.Policy = pol
+	drrip, _ := droplet.Simulate(context.Background(), tr, cfg)
+	again, _ := droplet.Simulate(context.Background(), tr, cfg)
 
 	fmt.Println("policies:", len(droplet.Replacements()))
 	fmt.Println("deterministic:", drrip.Cycles == again.Cycles)

@@ -301,6 +301,9 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, err := ExperimentByID("nope"); err == nil {
 		t.Error("bogus experiment id resolved")
+	} else if !strings.Contains(err.Error(), `unknown experiment "nope" (valid: table1, `) ||
+		!strings.HasSuffix(err.Error(), ", overhead)") {
+		t.Errorf("unknown-id error does not list every valid id: %v", err)
 	}
 	// The cheap text-only experiments must run end-to-end.
 	s := NewSuite(workload.Quick)

@@ -243,31 +243,22 @@ func (s *Suite) runSim(ctx context.Context, rv simreq.Resolved, mutate func(*sim
 // TelemetryDir (named by the request's canonical hash) and sampling per
 // the resolved request when configured.
 func (s *Suite) simulate(ctx context.Context, tr *trace.Trace, rv simreq.Resolved, cfg sim.Config, key string) (*sim.Result, error) {
+	opts := sim.Options{Sampling: rv.Sampling, EpochCycles: rv.EpochCycles}
 	if s.TelemetryDir == "" {
-		if !rv.Sampling.Enabled() && ctx.Done() == nil {
-			return sim.Run(tr, cfg)
-		}
-		return sim.Simulate(ctx, tr, cfg, sim.Options{
-			Sampling:    rv.Sampling,
-			EpochCycles: rv.EpochCycles,
-		})
+		return sim.Simulate(ctx, tr, cfg, opts)
 	}
 	path := filepath.Join(s.TelemetryDir, key+".jsonl")
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	col := telemetry.NewCollector(telemetry.NewJSONLSink(f), telemetry.RunMeta{
+	opts.Observer = telemetry.NewCollector(telemetry.NewJSONLSink(f), telemetry.RunMeta{
 		Benchmark:   rv.Benchmark.String(),
 		Kernel:      rv.Benchmark.Algo.String(),
 		Variant:     rv.Variant,
 		EpochCycles: metaEpochCycles(rv.EpochCycles),
 	})
-	r, simErr := sim.Simulate(ctx, tr, cfg, sim.Options{
-		Observer:    col,
-		EpochCycles: rv.EpochCycles,
-		Sampling:    rv.Sampling,
-	})
+	r, simErr := sim.Simulate(ctx, tr, cfg, opts)
 	if closeErr := f.Close(); simErr == nil {
 		simErr = closeErr
 	}

@@ -32,7 +32,7 @@ func (c *runCounter) hook() func(string) {
 
 // TestConcurrentResultSingleflight issues overlapping Result calls for
 // duplicate and distinct keys from many goroutines and asserts exactly
-// one sim.Run per key (run under -race this also exercises the
+// one simulation per key (run under -race this also exercises the
 // scheduler's synchronization end to end).
 func TestConcurrentResultSingleflight(t *testing.T) {
 	s := NewSuite(workload.Quick)

@@ -49,7 +49,7 @@ func Machine(sc workload.Scale) sim.Config {
 
 // Suite lazily runs and caches simulations. All methods are safe for
 // concurrent use: duplicate requests for one (benchmark, prefetcher,
-// variant) key share a single sim.Run via per-key singleflight, and at
+// variant) key share a single simulation via per-key singleflight, and at
 // most Jobs benchmark traces are kept alive at once, so peak memory
 // scales with the parallelism rather than the matrix size (Jobs=1
 // reproduces the historical "one trace alive" discipline). Experiments

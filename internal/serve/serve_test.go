@@ -69,6 +69,43 @@ func TestSimulateBadRequest(t *testing.T) {
 	}
 }
 
+// TestSimulateInvalidSampling checks that a sampling block the
+// simulator would reject is a 400 naming the sampling field, caught
+// before any trace is built or simulation counted.
+func TestSimulateInvalidSampling(t *testing.T) {
+	srv, suite := newTestServer(t)
+	before := srv.MetricsSnapshot()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate",
+		strings.NewReader(`{"benchmark":"PR-kron","sampling":{"interval_epochs":2,"detail_epochs":3}}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	var body struct {
+		Fields []struct {
+			Field string `json:"field"`
+		} `json:"fields"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if len(body.Fields) != 1 || body.Fields[0].Field != "sampling" {
+		t.Errorf("field errors = %+v, want one naming sampling", body.Fields)
+	}
+	after := srv.MetricsSnapshot()
+	for _, k := range []string{"simulations_total", "sim_errors_total"} {
+		if after[k] != before[k] {
+			t.Errorf("%s moved from %d to %d", k, before[k], after[k])
+		}
+	}
+	if after["bad_requests_total"] != before["bad_requests_total"]+1 {
+		t.Errorf("bad_requests_total = %d, want %d", after["bad_requests_total"], before["bad_requests_total"]+1)
+	}
+	if n := suite.PinnedTraceRefs(); n != 0 {
+		t.Errorf("%d trace references pinned after a rejected request", n)
+	}
+}
+
 // TestSimulateCacheByteIdentity pins the ISSUE acceptance criterion:
 // submitting the same canonical request twice returns the cached result
 // with a byte-identical body and no second simulation — including for

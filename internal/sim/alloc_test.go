@@ -8,18 +8,18 @@ import (
 )
 
 // TestSimulateNilObserverZeroAlloc proves the nil-observer Simulate path
-// adds zero allocations over the pre-redesign Run path: with a zero
-// Options and a non-cancellable context, Simulate must take exactly the
-// driveQuantum drive (no closure, no observer bookkeeping). This pins
-// the PR2 zero-alloc hot-path guarantee across the api_redesign —
-// attaching the telemetry seam must cost nothing when telemetry is off.
+// adds zero allocations over the bare machine driven by the reference
+// loop: with a zero Options and a non-cancellable context, Simulate must
+// take the plain drive (no closure, no observer or sampling
+// bookkeeping). This pins the zero-alloc hot-path guarantee — the
+// telemetry and sampling seams must cost nothing when they are off.
 func TestSimulateNilObserverZeroAlloc(t *testing.T) {
 	tr := quickTrace(t)
 	cfg := quickMachine()
 	cfg.Prefetcher = core.DROPLET
 
 	baseline := testing.AllocsPerRun(3, func() {
-		if _, err := run(tr, cfg, driveQuantum); err != nil {
+		if _, err := runReference(tr, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -29,7 +29,7 @@ func TestSimulateNilObserverZeroAlloc(t *testing.T) {
 		}
 	})
 	if extra := full - baseline; extra != 0 {
-		t.Errorf("nil-observer Simulate allocates %v times beyond Run (baseline %v, full %v)",
+		t.Errorf("nil-observer Simulate allocates %v times beyond the bare machine (baseline %v, full %v)",
 			extra, baseline, full)
 	}
 }

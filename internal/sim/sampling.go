@@ -1,15 +1,11 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
-	"droplet/internal/core"
 	"droplet/internal/cpu"
-	"droplet/internal/memsys"
 	"droplet/internal/names"
-	"droplet/internal/trace"
 )
 
 // Warming selects what fast-forward epochs do to the memory hierarchy.
@@ -88,7 +84,13 @@ func (s Sampling) withDefaults() Sampling {
 	return s
 }
 
-func (s Sampling) validate() error {
+// Validate checks an enabled s with its defaults applied; the zero
+// value (sampling off) is valid.
+func (s Sampling) Validate() error {
+	if !s.Enabled() {
+		return nil
+	}
+	s = s.withDefaults()
 	if s.DetailEpochs < 0 || s.WarmupEpochs < 0 {
 		return fmt.Errorf("sim: negative sampling epochs %+v", s)
 	}
@@ -146,7 +148,7 @@ func (s Sampling) phase(clk, epoch int64) int {
 
 // nextDetailedClock returns the smallest epoch-aligned clock strictly
 // after clk whose epoch is not fast-forward — the next point a core in
-// FF must rejoin detailed scheduling. Used by driveSampled to run
+// FF must rejoin detailed scheduling. Used by sampleAcc.plan to run
 // WarmNone fast-forward as one long quantum instead of re-electing at
 // every epoch boundary.
 func (s Sampling) nextDetailedClock(clk, epoch int64) int64 {
@@ -232,13 +234,18 @@ type sampleWindow struct {
 	instr int64
 }
 
-// sampleAcc is driveSampled's bookkeeping: per-core open-measurement
-// snapshots plus per-core, per-period accumulated windows. Windows stay
-// separated by core because extrapolation is per-core (see
+// sampleAcc is sampling's side of the drive loop: the per-election step
+// decision plus its bookkeeping — per-core open-measurement snapshots
+// and per-core, per-period accumulated windows. Windows stay separated
+// by core because extrapolation is per-core (see
 // SampleReport.ExtrapolatedCycles).
 type sampleAcc struct {
 	s     Sampling
 	epoch int64
+	// warm is the StepFast mode of functional-warming fast-forward;
+	// capFF keeps WarmNone fast-forward quanta on epoch boundaries
+	// because a callback must see every one of them.
+	warm, capFF bool
 
 	measuring []bool
 	startClk  []int64
@@ -262,20 +269,22 @@ type sampleAcc struct {
 	aggClk   []int64
 	aggInstr []int64
 
-	// Barrier-replay metadata: secInstr[k][i] is core i's instruction
-	// count in the k-th inter-barrier section, lastInstr the running
-	// snapshot, and doneBar[i] the first barrier index at which core i
-	// had already finished (-1 if it ran to the end) — a finished core's
-	// clock freezes and must not be jumped by later releases.
-	secInstr  [][]int64
+	// Barrier-replay metadata: secInstr[k*cores+i] is core i's
+	// instruction count in the k-th inter-barrier section, lastInstr the
+	// running snapshot, and doneBar[i] the first barrier index at which
+	// core i had already finished (-1 if it ran to the end) — a finished
+	// core's clock freezes and must not be jumped by later releases.
+	secInstr  []int64
 	lastInstr []int64
 	doneBar   []int
 }
 
-func newSampleAcc(s Sampling, epoch int64, cores int) *sampleAcc {
+func newSampleAcc(s Sampling, epoch int64, cores int, capFF bool) *sampleAcc {
 	a := &sampleAcc{
 		s:          s,
 		epoch:      epoch,
+		warm:       s.Warming == WarmFunctional,
+		capFF:      capFF,
 		measuring:  make([]bool, cores),
 		startClk:   make([]int64, cores),
 		startIns:   make([]int64, cores),
@@ -295,19 +304,53 @@ func newSampleAcc(s Sampling, epoch int64, cores int) *sampleAcc {
 	return a
 }
 
-// recordBarrier snapshots the per-core instruction deltas of the
+// plan is sampling's decision for core i, elected at clock clk with
+// the drive loop's stop clock and next epoch boundary. It reconciles the
+// core's measurement window with its phase and returns the quantum's
+// stop clock and whether to fast-forward (StepFast) instead of Step.
+func (a *sampleAcc) plan(i int, c *cpu.Core, clk, stop, boundary int64) (int64, bool) {
+	phase := a.s.phase(clk, a.epoch)
+	a.observe(i, c, phase)
+	switch {
+	case phase != phaseFF:
+		return stop, false
+	case a.warm:
+		return stop, true
+	case a.capFF:
+		return boundary, true
+	}
+	// Under WarmNone, fast-forward touches no shared state — the core
+	// only consumes its own stream and advances its own clock — so it
+	// can skip straight to its next detailed-phase boundary without
+	// re-electing. Dropping the intermediate elections cannot reorder
+	// the detailed cores' shared-hierarchy accesses (their mutual clock
+	// order is untouched) and window snapshots read only own-core
+	// counters, so the Result is bit-identical to the epoch-capped
+	// schedule.
+	return a.s.nextDetailedClock(clk, a.epoch), true
+}
+
+// recordBarrier appends the per-core instruction deltas of the
 // inter-barrier section ending at this release.
 func (a *sampleAcc) recordBarrier(cores []*cpu.Core) {
-	vec := make([]int64, len(cores))
+	sec := len(a.secInstr) / len(cores)
 	for i, c := range cores {
 		ins := c.Stats().Instructions
-		vec[i] = ins - a.lastInstr[i]
+		a.secInstr = append(a.secInstr, ins-a.lastInstr[i])
 		a.lastInstr[i] = ins
 		if c.Done() && a.doneBar[i] < 0 {
-			a.doneBar[i] = len(a.secInstr)
+			a.doneBar[i] = sec
 		}
 	}
-	a.secInstr = append(a.secInstr, vec)
+}
+
+// finish closes the measurement windows still open when the run ends.
+func (a *sampleAcc) finish(cores []*cpu.Core) {
+	for i, c := range cores {
+		if a.measuring[i] {
+			a.close(i, c)
+		}
+	}
 }
 
 // observe reconciles core i's measurement state with its current phase.
@@ -440,7 +483,7 @@ func (a *sampleAcc) report(coreStats []cpu.Stats, totalInstr, fullCycles int64) 
 		DetailEpochs:   a.s.DetailEpochs,
 		WarmupEpochs:   a.s.WarmupEpochs,
 		Warming:        a.s.Warming,
-		Sections:       len(a.secInstr),
+		Sections:       len(a.secInstr) / len(a.windows),
 		StragglerCore:  -1,
 	}
 	for _, ws := range a.windows {
@@ -475,7 +518,8 @@ func (a *sampleAcc) report(coreStats []cpu.Stats, totalInstr, fullCycles int64) 
 	cores := len(a.windows)
 	clk := make([]float64, cores)
 	bar := make([]float64, cores)
-	for k, vec := range a.secInstr {
+	for k := 0; k < rep.Sections; k++ {
+		vec := a.secInstr[k*cores : (k+1)*cores]
 		var t float64
 		for i := range clk {
 			clk[i] += float64(vec[i]) * cpi[i]
@@ -535,149 +579,4 @@ func (a *sampleAcc) report(coreStats []cpu.Stats, totalInstr, fullCycles int64) 
 	}
 	rep.SampledFraction = float64(rep.MeasuredInstructions) / float64(totalInstr)
 	return rep
-}
-
-// driveSampled executes the quantum scheduler's election order while
-// switching each core between detailed stepping (warmup + measurement
-// epochs) and fast-forward (StepFast) according to its clock's sampling
-// phase. Quanta are additionally capped at every epoch boundary so phase
-// transitions happen exactly on boundaries. onEpoch may be nil.
-func driveSampled(ctx context.Context, cores []*cpu.Core, epoch int64, s Sampling, onEpoch func(int64)) (*sampleAcc, error) {
-	acc := newSampleAcc(s, epoch, len(cores))
-	warm := s.Warming == WarmFunctional
-	nextEpochCB := epoch
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bestIdx, runnerIdx := -1, -1
-		var bestClk, runnerClk int64
-		allDone := true
-		for i, c := range cores {
-			if c.Done() {
-				continue
-			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			clk := c.Clock()
-			switch {
-			case bestIdx < 0:
-				bestIdx, bestClk = i, clk
-			case clk < bestClk:
-				runnerIdx, runnerClk = bestIdx, bestClk
-				bestIdx, bestClk = i, clk
-			case runnerIdx < 0 || clk < runnerClk:
-				runnerIdx, runnerClk = i, clk
-			}
-		}
-		if allDone {
-			for i, c := range cores {
-				if acc.measuring[i] {
-					acc.close(i, c)
-				}
-			}
-			return acc, nil
-		}
-		if bestIdx < 0 {
-			acc.recordBarrier(cores)
-			releaseBarrier(cores)
-			continue
-		}
-		if onEpoch != nil && bestClk >= nextEpochCB {
-			onEpoch(bestClk)
-			nextEpochCB = (bestClk/epoch + 1) * epoch
-		}
-		next := cores[bestIdx]
-		phase := s.phase(bestClk, epoch)
-		acc.observe(bestIdx, next, phase)
-		detailed := phase != phaseFF
-		if !detailed && !warm {
-			// Under WarmNone, fast-forward touches no shared state — the
-			// core only consumes its own stream and advances its own
-			// clock — so it can skip straight to its next detailed-phase
-			// boundary without re-electing. Dropping the intermediate
-			// elections cannot reorder the detailed cores' shared-
-			// hierarchy accesses (their mutual clock order is untouched)
-			// and window snapshots read only own-core counters, so the
-			// Result is bit-identical to the epoch-capped schedule.
-			target := s.nextDetailedClock(bestClk, epoch)
-			if onEpoch != nil && nextEpochCB < target {
-				// Keep telemetry epoch pulls on their boundaries.
-				target = nextEpochCB
-			}
-			for !next.Done() && !next.AtBarrier() && next.Clock() < target {
-				next.StepFast(false)
-			}
-			continue
-		}
-		// Cap the quantum at the next epoch boundary: the phase is a
-		// function of the clock, so it can only change there.
-		boundary := (bestClk/epoch + 1) * epoch
-		if runnerIdx < 0 {
-			for !next.Done() && !next.AtBarrier() && next.Clock() < boundary {
-				if detailed {
-					next.Step()
-				} else {
-					next.StepFast(warm)
-				}
-			}
-			continue
-		}
-		tieWins := bestIdx < runnerIdx
-		for {
-			if detailed {
-				next.Step()
-			} else {
-				next.StepFast(warm)
-			}
-			if next.Done() || next.AtBarrier() {
-				break
-			}
-			clk := next.Clock()
-			if clk > runnerClk || (clk == runnerClk && !tieWins) {
-				break
-			}
-			if clk >= boundary {
-				break
-			}
-		}
-	}
-}
-
-// SimulateStream runs the pull-based trace generator st on a machine
-// built from cfg — the streaming twin of Simulate. The stream is started
-// (idempotently) and torn down on every exit path; peak trace memory is
-// the per-core window plus the dependency completion ring instead of the
-// full event trace.
-func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Options) (*Result, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Cores != st.NumCores() {
-		return nil, fmt.Errorf("sim: machine has %d cores but stream has %d sources", cfg.Cores, st.NumCores())
-	}
-	if opts.Replacement != nil {
-		cfg.LLC.Policy = *opts.Replacement
-	}
-	if opts.Prefetcher != nil {
-		cfg.Prefetcher = *opts.Prefetcher
-	}
-	lay := st.Layout()
-	h, err := memsys.New(cfg.memConfig(), lay.AS)
-	if err != nil {
-		return nil, err
-	}
-	att, err := core.Attach(cfg.Prefetcher, h, lay, cfg.Prefetch)
-	if err != nil {
-		return nil, err
-	}
-	st.Start()
-	defer st.Stop()
-	cores := make([]*cpu.Core, cfg.Cores)
-	for i := range cores {
-		cores[i] = cpu.NewStreamingCore(i, cfg.CPU, h, st.Source(i), opts.DepRingEvents)
-	}
-	return driveAndCollect(ctx, cfg, h, att, cores, opts)
 }

@@ -8,6 +8,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"droplet/internal/cache"
 	"droplet/internal/core"
@@ -104,39 +105,21 @@ type Options struct {
 	// step and pulled at every epoch boundary.
 	Observer telemetry.Observer
 	// EpochCycles is the epoch granularity in core cycles (defaults to
-	// DefaultEpochCycles). Only consulted when an Observer or Progress
-	// callback is installed.
+	// DefaultEpochCycles). Only consulted by observed runs: those with an
+	// Observer, Progress, Sampling, or a cancellable context.
 	EpochCycles int64
 	// Progress, when non-nil, is called at every epoch boundary with the
 	// elected core's clock — a cheap liveness signal for long runs.
 	Progress func(cycle int64)
 	// Sampling enables SMARTS-style interval sampling (zero disables).
 	Sampling Sampling
-	// DepRingEvents overrides the streaming dependency-ring size used by
-	// SimulateStream (<= 0 picks cpu.DefaultDepRingEvents). Ignored by
-	// the materialized path.
-	DepRingEvents int
-	// Replacement, when non-nil, overrides the LLC replacement policy
-	// (cfg.LLC.Policy) — the paper-relevant lever, sweepable without
-	// rebuilding configs. Private-cache policies are still set directly
-	// on cfg.L1/cfg.L2.
-	Replacement *cache.Kind
-	// Prefetcher, when non-nil, overrides the prefetcher configuration
-	// (cfg.Prefetcher) — the engine-comparison lever, sweepable without
-	// rebuilding configs.
-	Prefetcher *core.PrefetcherKind
 }
 
 func (o Options) validate() error {
 	if o.EpochCycles < 0 {
 		return fmt.Errorf("sim: negative epoch granularity %d", o.EpochCycles)
 	}
-	if o.Sampling.Enabled() {
-		if err := o.Sampling.withDefaults().validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.Sampling.Validate()
 }
 
 // Run simulates tr on a machine built from cfg.
@@ -157,68 +140,91 @@ func Simulate(ctx context.Context, tr *trace.Trace, cfg Config, opts Options) (*
 	if cfg.Cores != tr.NumCores() {
 		return nil, fmt.Errorf("sim: machine has %d cores but trace has %d streams", cfg.Cores, tr.NumCores())
 	}
-	if opts.Replacement != nil {
-		cfg.LLC.Policy = *opts.Replacement
-	}
-	if opts.Prefetcher != nil {
-		cfg.Prefetcher = *opts.Prefetcher
-	}
-	h, err := memsys.New(cfg.memConfig(), tr.Layout.AS)
+	h, att, cores, err := build(cfg, tr.Layout, func(i int, port cpu.MemPort) *cpu.Core {
+		return cpu.NewCore(i, cfg.CPU, port, tr.PerCore[i])
+	})
 	if err != nil {
 		return nil, err
-	}
-	att, err := core.Attach(cfg.Prefetcher, h, tr.Layout, cfg.Prefetch)
-	if err != nil {
-		return nil, err
-	}
-	cores := make([]*cpu.Core, cfg.Cores)
-	for i := range cores {
-		cores[i] = cpu.NewCore(i, cfg.CPU, h, tr.PerCore[i])
 	}
 	return driveAndCollect(ctx, cfg, h, att, cores, opts)
 }
 
-// driveAndCollect picks the drive loop matching opts (plain quantum,
-// observed, or sampled), runs the cores to completion, and folds the
-// machine into a Result. Options must already be validated.
+// SimulateStream runs the pull-based trace generator st on a machine
+// built from cfg — the streaming twin of Simulate. The stream is started
+// (idempotently) and torn down on every exit path; peak trace memory is
+// the per-core window plus the dependency completion ring instead of the
+// full event trace.
+func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Options) (*Result, error) {
+	defer st.Stop() // a no-op unless the stream was started
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Cores != st.NumCores() {
+		return nil, fmt.Errorf("sim: machine has %d cores but stream has %d sources", cfg.Cores, st.NumCores())
+	}
+	h, att, cores, err := build(cfg, st.Layout(), func(i int, port cpu.MemPort) *cpu.Core {
+		st.Start() // a streaming core pulls its first batch when built
+		return cpu.NewStreamingCore(i, cfg.CPU, port, st.Source(i), 0)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return driveAndCollect(ctx, cfg, h, att, cores, opts)
+}
+
+// build assembles the machine cfg describes over the address-space
+// layout lay: the memory hierarchy, the prefetch attachment, and one
+// core per stream, which newCore builds over the hierarchy's port.
+func build(cfg Config, lay *trace.Layout, newCore func(i int, port cpu.MemPort) *cpu.Core) (*memsys.Hierarchy, *core.Attachment, []*cpu.Core, error) {
+	h, err := memsys.New(cfg.memConfig(), lay.AS)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	att, err := core.Attach(cfg.Prefetcher, h, lay, cfg.Prefetch)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cores := make([]*cpu.Core, cfg.Cores)
+	for i := range cores {
+		cores[i] = newCore(i, h)
+	}
+	return h, att, cores, nil
+}
+
+// driveAndCollect installs the hooks opts asks for, drives the cores to
+// completion, and folds the machine into a Result. Options must already
+// be validated. A run that nothing observes — no Observer, no Progress,
+// no sampling, and a context that cannot be cancelled — gets no epoch
+// boundaries at all.
 func driveAndCollect(ctx context.Context, cfg Config, h *memsys.Hierarchy, att *core.Attachment, cores []*cpu.Core, opts Options) (*Result, error) {
-	var acc *sampleAcc
-	if opts.Observer == nil && opts.Progress == nil && ctx.Done() == nil && !opts.Sampling.Enabled() {
-		driveQuantum(cores)
-	} else {
-		epoch := opts.EpochCycles
+	var epoch int64
+	if opts.Observer != nil || opts.Progress != nil || ctx.Done() != nil || opts.Sampling.Enabled() {
+		epoch = opts.EpochCycles
 		if epoch == 0 {
 			epoch = DefaultEpochCycles
 		}
-		var onEpoch func(int64)
-		switch {
-		case opts.Observer != nil && opts.Progress != nil:
-			obs, prog := opts.Observer, opts.Progress
-			onEpoch = func(cyc int64) { obs.Epoch(cyc); prog(cyc) }
-		case opts.Observer != nil:
-			onEpoch = opts.Observer.Epoch
-		case opts.Progress != nil:
-			onEpoch = opts.Progress
+	}
+	var onEpoch func(int64)
+	switch {
+	case opts.Observer != nil && opts.Progress != nil:
+		obs, prog := opts.Observer, opts.Progress
+		onEpoch = func(cyc int64) { obs.Epoch(cyc); prog(cyc) }
+	case opts.Observer != nil:
+		onEpoch = opts.Observer.Epoch
+	case opts.Progress != nil:
+		onEpoch = opts.Progress
+	}
+	if opts.Observer != nil {
+		if err := opts.Observer.Attach(telemetry.Sources{Cores: cores, Hier: h, Att: att}); err != nil {
+			return nil, err
 		}
-		if opts.Observer != nil {
-			if err := opts.Observer.Attach(telemetry.Sources{Cores: cores, Hier: h, Att: att}); err != nil {
-				return nil, err
-			}
-		}
-		if opts.Sampling.Enabled() {
-			var err error
-			acc, err = driveSampled(ctx, cores, epoch, opts.Sampling.withDefaults(), onEpoch)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if onEpoch == nil {
-				onEpoch = func(int64) {}
-			}
-			if err := driveObserved(ctx, cores, epoch, onEpoch); err != nil {
-				return nil, err
-			}
-		}
+	}
+	var acc *sampleAcc
+	if opts.Sampling.Enabled() {
+		acc = newSampleAcc(opts.Sampling.withDefaults(), epoch, len(cores), onEpoch != nil)
+	}
+	if err := drive(ctx, cores, epoch, onEpoch, acc); err != nil {
+		return nil, err
 	}
 
 	res := collect(cfg, h, att, cores)
@@ -231,31 +237,6 @@ func driveAndCollect(ctx context.Context, cfg Config, h *memsys.Hierarchy, att *
 		}
 	}
 	return res, nil
-}
-
-// run builds the machine and lets drive push every core through its
-// stream. The two drivers (quantum and per-event reference) execute the
-// identical step sequence; the reference loop survives purely as the
-// determinism-test oracle for the quantum scheduler.
-func run(tr *trace.Trace, cfg Config, drive func([]*cpu.Core)) (*Result, error) {
-	if cfg.Cores != tr.NumCores() {
-		return nil, fmt.Errorf("sim: machine has %d cores but trace has %d streams", cfg.Cores, tr.NumCores())
-	}
-	h, err := memsys.New(cfg.memConfig(), tr.Layout.AS)
-	if err != nil {
-		return nil, err
-	}
-	att, err := core.Attach(cfg.Prefetcher, h, tr.Layout, cfg.Prefetch)
-	if err != nil {
-		return nil, err
-	}
-
-	cores := make([]*cpu.Core, cfg.Cores)
-	for i := range cores {
-		cores[i] = cpu.NewCore(i, cfg.CPU, h, tr.PerCore[i])
-	}
-	drive(cores)
-	return collect(cfg, h, att, cores), nil
 }
 
 // collect folds the finished machine into a Result.
@@ -277,192 +258,131 @@ func collect(cfg Config, h *memsys.Hierarchy, att *core.Attachment, cores []*cpu
 	return res
 }
 
-// driveReference is the original per-event loop: every iteration rescans
-// all cores and steps the runnable one with the smallest local clock (ties
-// to the lowest index); when every unfinished core is parked at a barrier,
-// they release together at the latest arrival time. O(cores) per event —
-// kept only as the oracle the determinism tests compare driveQuantum
-// against.
+// drive runs every core to the end of its stream under the one
+// scheduling rule every simulated number rests on: elect the runnable
+// core with the (clock, index)-minimum and step it; once every
+// unfinished core waits at a barrier, release them all at the latest
+// arrival. Instead of re-electing after every event, a quantum keeps
+// stepping the winner until it finishes, parks at a barrier, or reaches
+// the stop clock elect returned: a step never moves another core's
+// clock, barrier, or done state, so the winner would have won every
+// re-election up to there (the per-event oracle lives in the tests).
+// Each quantum is a long single-core, single-stream run, which is also
+// what the host CPU's branch predictors and caches want to see.
+//
+// epoch > 0 marks an observed run. Its quanta also stop at the next
+// epoch boundary, where onEpoch (if non-nil) fires with the elected
+// core's clock, and ctx is checked once per election. Stopping early
+// only re-elects the same core, so boundaries never change the step
+// sequence. A non-nil acc adds sampling's per-election decision (see
+// sampleAcc.plan) and its barrier and finish hooks.
+//
 //droplet:hotpath
-func driveReference(cores []*cpu.Core) {
+func drive(ctx context.Context, cores []*cpu.Core, epoch int64, onEpoch func(int64), acc *sampleAcc) error {
+	next := epoch // the next epoch boundary
 	for {
-		var next *cpu.Core
-		var nextClock int64
-		allDone := true
-		for _, c := range cores {
-			if c.Done() {
-				continue
-			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			if clk := c.Clock(); next == nil || clk < nextClock {
-				next = c
-				nextClock = clk
+		if epoch > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-		if allDone {
-			return
-		}
-		if next == nil {
-			releaseBarrier(cores)
-			continue
-		}
-		next.Step()
-	}
-}
-
-// driveQuantum executes the same step sequence as driveReference without
-// the per-event rescan: after electing the minimum-clock core it keeps
-// stepping that core for as long as the reference loop would have
-// re-elected it — i.e. until its clock passes the runner-up's (stepping a
-// core never moves any other core's clock, barrier, or done state, so the
-// runner-up computed once stays valid for the whole quantum). Each quantum
-// is a long single-core, single-stream run, which is also what the host
-// CPU's branch predictors and caches want to see.
-//droplet:hotpath
-func driveQuantum(cores []*cpu.Core) {
-	for {
-		// Elect the (clock, index)-lexicographic minimum runnable core —
-		// exactly the reference loop's selection rule — and track the same
-		// lexicographic minimum over the remaining runnable cores (the
-		// runner-up). Ties resolve to the lower index in both scans: a
-		// strict < keeps the first-seen minimum while scanning in index
-		// order, and when a new best displaces the old one, the old best
-		// is lexicographically below the old runner-up by the same
-		// invariant, so it becomes the new runner-up.
-		bestIdx, runnerIdx := -1, -1
-		var bestClk, runnerClk int64
-		allDone := true
-		for i, c := range cores {
-			if c.Done() {
-				continue
+		i, clk, stop := elect(cores)
+		switch i {
+		case allDone:
+			if acc != nil {
+				acc.finish(cores)
 			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			clk := c.Clock()
-			switch {
-			case bestIdx < 0:
-				bestIdx, bestClk = i, clk
-			case clk < bestClk:
-				runnerIdx, runnerClk = bestIdx, bestClk
-				bestIdx, bestClk = i, clk
-			case runnerIdx < 0 || clk < runnerClk:
-				runnerIdx, runnerClk = i, clk
-			}
-		}
-		if allDone {
-			return
-		}
-		if bestIdx < 0 {
-			releaseBarrier(cores)
-			continue
-		}
-		next := cores[bestIdx]
-		if runnerIdx < 0 {
-			// Sole runnable core: drain it to its next barrier (or the end
-			// of its stream) in one go.
-			for !next.Done() && !next.AtBarrier() {
-				next.Step()
-			}
-			continue
-		}
-		// The elected core keeps winning re-election while its clock stays
-		// below the runner-up's, or equals it with the lower index. A step
-		// never moves another core's clock, barrier, or done state, so the
-		// runner-up computed once stays valid for the whole quantum.
-		tieWins := bestIdx < runnerIdx
-		for {
-			next.Step()
-			if next.Done() || next.AtBarrier() {
-				break
-			}
-			if clk := next.Clock(); clk > runnerClk || (clk == runnerClk && !tieWins) {
-				break
-			}
-		}
-	}
-}
-
-// driveObserved executes the exact step sequence of driveQuantum while
-// additionally (a) honoring context cancellation once per election and
-// (b) invoking onEpoch the first time the elected core's clock crosses
-// an epoch boundary. Quanta are capped at the next boundary; breaking a
-// quantum early and re-electing always re-selects the same core (a step
-// never moves another core's clock, barrier, or done state), so the
-// observer cannot perturb the simulation. Deliberately not a
-// //droplet:hotpath root: the callback indirection is off the
-// zero-alloc invariant, and the nil-observer path never comes here.
-func driveObserved(ctx context.Context, cores []*cpu.Core, epoch int64, onEpoch func(int64)) error {
-	nextBoundary := epoch
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		bestIdx, runnerIdx := -1, -1
-		var bestClk, runnerClk int64
-		allDone := true
-		for i, c := range cores {
-			if c.Done() {
-				continue
-			}
-			allDone = false
-			if c.AtBarrier() {
-				continue
-			}
-			clk := c.Clock()
-			switch {
-			case bestIdx < 0:
-				bestIdx, bestClk = i, clk
-			case clk < bestClk:
-				runnerIdx, runnerClk = bestIdx, bestClk
-				bestIdx, bestClk = i, clk
-			case runnerIdx < 0 || clk < runnerClk:
-				runnerIdx, runnerClk = i, clk
-			}
-		}
-		if allDone {
 			return nil
-		}
-		if bestIdx < 0 {
+		case allParked:
+			if acc != nil {
+				acc.recordBarrier(cores)
+			}
 			releaseBarrier(cores)
 			continue
 		}
-		if bestClk >= nextBoundary {
-			onEpoch(bestClk)
-			nextBoundary = (bestClk/epoch + 1) * epoch
+		if epoch > 0 {
+			// Elected clocks never decrease (a step advances only its own
+			// core, and a release lifts every parked core to the latest
+			// clock), so next is always the first boundary after clk.
+			if clk >= next {
+				if onEpoch != nil {
+					onEpoch(clk)
+				}
+				next = (clk/epoch + 1) * epoch
+			}
+			stop = min(stop, next)
 		}
-		next := cores[bestIdx]
-		if runnerIdx < 0 {
-			// Sole runnable core: drain to its next barrier, stream end, or
-			// epoch boundary, whichever comes first.
-			for !next.Done() && !next.AtBarrier() && next.Clock() < nextBoundary {
-				next.Step()
+		c := cores[i]
+		if acc != nil {
+			var fast bool
+			if stop, fast = acc.plan(i, c, clk, stop, next); fast {
+				for !c.Done() && !c.AtBarrier() && c.Clock() < stop {
+					c.StepFast(acc.warm)
+				}
+				continue
 			}
-			continue
 		}
-		tieWins := bestIdx < runnerIdx
-		for {
-			next.Step()
-			if next.Done() || next.AtBarrier() {
-				break
-			}
-			clk := next.Clock()
-			if clk > runnerClk || (clk == runnerClk && !tieWins) {
-				break
-			}
-			if clk >= nextBoundary {
-				break
-			}
+		for !c.Done() && !c.AtBarrier() && c.Clock() < stop {
+			c.Step()
 		}
 	}
+}
+
+// Sentinels elect returns in place of a core index.
+const (
+	allDone   = -1 // every core has finished its stream
+	allParked = -2 // every unfinished core waits at a barrier
+)
+
+// elect returns the runnable core with the (clock, index)-lexicographic
+// minimum, its clock, and the stop clock below which it keeps winning
+// re-election: the runner-up's clock, plus 1 when the winner has the
+// lower index (ties go to the lower index), or MaxInt64 when no other
+// core is runnable. With no runnable core it returns allDone or
+// allParked instead of an index.
+//
+//droplet:hotpath
+func elect(cores []*cpu.Core) (idx int, clk, stop int64) {
+	best, runner := -1, -1
+	var runnerClk int64
+	live := false
+	for i, c := range cores {
+		if c.Done() {
+			continue
+		}
+		live = true
+		if c.AtBarrier() {
+			continue
+		}
+		// A strict < keeps the first-seen minimum while scanning in index
+		// order, and a displaced best is lexicographically below the old
+		// runner-up, so it becomes the new runner-up.
+		switch ck := c.Clock(); {
+		case best < 0:
+			best, clk = i, ck
+		case ck < clk:
+			runner, runnerClk = best, clk
+			best, clk = i, ck
+		case runner < 0 || ck < runnerClk:
+			runner, runnerClk = i, ck
+		}
+	}
+	switch {
+	case best < 0 && live:
+		return allParked, 0, 0
+	case best < 0:
+		return allDone, 0, 0
+	case runner < 0:
+		return best, clk, math.MaxInt64
+	case best < runner:
+		return best, clk, runnerClk + 1
+	}
+	return best, clk, runnerClk
 }
 
 // releaseBarrier opens the barrier every unfinished core is parked at,
 // at the latest arrival time.
+//
 //droplet:hotpath
 func releaseBarrier(cores []*cpu.Core) {
 	var t int64

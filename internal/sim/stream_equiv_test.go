@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
+	"droplet/internal/core"
+	"droplet/internal/telemetry"
 	"droplet/internal/trace"
 	"droplet/internal/workload"
 )
@@ -22,8 +25,9 @@ func quickEquivCfg() Config {
 
 // TestSimulateStreamMatchesRun drives one benchmark per kernel through
 // the materialized and the streaming path and requires bit-identical
-// summaries: the pull-based generator must be a pure memory
-// optimization, invisible to every simulated statistic.
+// summaries, and bit-identical epoch JSONL under DROPLET: the pull-based
+// generator must be a pure memory optimization, invisible to every
+// simulated statistic.
 func TestSimulateStreamMatchesRun(t *testing.T) {
 	cfg := quickEquivCfg()
 	for _, name := range []string{"PR-kron", "BFS-road", "CC-kron", "SSSP-road", "BC-orkut"} {
@@ -55,6 +59,28 @@ func TestSimulateStreamMatchesRun(t *testing.T) {
 			if string(wantJSON) != string(gotJSON) {
 				t.Errorf("streaming summary diverges from materialized:\nmaterialized: %s\nstreaming:    %s",
 					wantJSON, gotJSON)
+			}
+
+			pf := cfg
+			pf.Prefetcher = core.DROPLET
+			epochs := func(simulate func(Options) (*Result, error)) []byte {
+				var buf bytes.Buffer
+				col := telemetry.NewCollector(telemetry.NewJSONLSink(&buf), telemetry.RunMeta{Benchmark: name, EpochCycles: 20_000})
+				if _, err := simulate(Options{Observer: col, EpochCycles: 20_000}); err != nil {
+					t.Fatal(err)
+				}
+				return buf.Bytes()
+			}
+			wantEpochs := epochs(func(o Options) (*Result, error) { return Simulate(context.Background(), tr, pf, o) })
+			gotEpochs := epochs(func(o Options) (*Result, error) {
+				st, err := workload.GenerateStream(b, workload.Quick, pf.Cores, trace.StreamConfig{})
+				if err != nil {
+					return nil, err
+				}
+				return SimulateStream(context.Background(), st, pf, o)
+			})
+			if !bytes.Equal(wantEpochs, gotEpochs) {
+				t.Errorf("streaming epoch JSONL (%d bytes) diverges from materialized (%d bytes)", len(gotEpochs), len(wantEpochs))
 			}
 		})
 	}

@@ -199,6 +199,7 @@ func (r Request) Resolve() (Resolved, error) {
 	}
 	rv.EpochCycles = r.EpochCycles
 	if s := r.Sampling; s != nil {
+		fieldErrs := len(errs)
 		if s.IntervalEpochs <= 0 {
 			fail("sampling.interval_epochs", fmt.Errorf("simreq: sampling interval must be positive, got %d", s.IntervalEpochs))
 		}
@@ -216,6 +217,11 @@ func (r Request) Resolve() (Resolved, error) {
 		if s.Warming != "" {
 			if rv.Sampling.Warming, err = sim.ParseWarming(s.Warming); err != nil {
 				fail("sampling.warming", err)
+			}
+		}
+		if len(errs) == fieldErrs {
+			if err := rv.Sampling.Validate(); err != nil {
+				fail("sampling", err)
 			}
 		}
 	}

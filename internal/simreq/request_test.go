@@ -158,6 +158,21 @@ func TestFieldErrors(t *testing.T) {
 }
 
 // TestResolveTyped checks the typed view against the workload registry.
+// TestSamplingBlockRejected checks that a sampling block whose fields
+// each pass but which the simulator cannot run — an interval shorter
+// than warmup + detail — is reported as one field error on "sampling",
+// in the simulator's own words.
+func TestSamplingBlockRejected(t *testing.T) {
+	_, err := Request{Benchmark: "PR-kron", Sampling: &Sampling{IntervalEpochs: 2, DetailEpochs: 3}}.Resolve()
+	var fe FieldErrors
+	if !errors.As(err, &fe) || len(fe) != 1 || fe[0].Field != "sampling" {
+		t.Fatalf("Resolve error = %v, want one field error on sampling", err)
+	}
+	if want := "sim: sampling interval 2 shorter than warmup 1 + detail 3"; fe[0].Error != want {
+		t.Errorf("sampling error = %q, want %q", fe[0].Error, want)
+	}
+}
+
 func TestResolveTyped(t *testing.T) {
 	rv, err := Request{Benchmark: "sssp-livejournal", Scale: "full", Sampling: &Sampling{IntervalEpochs: 32}}.Resolve()
 	if err != nil {
