@@ -151,7 +151,7 @@ func TestPublicAPISimulate(t *testing.T) {
 	sink := &droplet.MemorySink{}
 	var ticks int
 	res, err := droplet.Simulate(context.Background(), tr, cfg,
-		droplet.WithObserver(droplet.NewCollector(sink, droplet.RunMeta{Benchmark: "kron9", Kernel: "pr", EpochCycles: 5000})),
+		droplet.WithObserver(droplet.NewCollector(sink, droplet.RunMeta{Benchmark: "kron9", Kernel: "pr"})),
 		droplet.WithEpochCycles(5000),
 		droplet.WithProgress(func(int64) { ticks++ }),
 	)

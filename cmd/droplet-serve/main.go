@@ -3,7 +3,13 @@
 //
 // Usage:
 //
-//	droplet-serve -addr :8080 -scale quick -jobs 4
+//	droplet-serve -addr :8080 -jobs 4
+//
+// Every request names its own machine (scale, cores, prefetcher,
+// per-level replacement, sampling), so the process has no machine flags:
+// -jobs bounds the parallel simulations and live traces. -scale is still
+// accepted, and ignored, because bench/wserve.go launches the service
+// with it.
 //
 // Endpoints:
 //
@@ -30,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"droplet/internal/cache"
 	"droplet/internal/exp"
 	"droplet/internal/serve"
 	"droplet/internal/workload"
@@ -39,28 +44,17 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		scale   = flag.String("scale", "quick", "workload scale served by this instance: quick, full, or huge")
+		_       = flag.String("scale", "", "ignored: every request names its own scale")
 		jobs    = flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (also bounds live traces)")
-		repl    = flag.String("replacement", "lru", "default LLC replacement policy for the suite machine")
 		grace   = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight requests")
 		verbose = flag.Bool("v", false, "log one line per executed simulation")
 	)
 	flag.Parse()
 
-	sc, err := workload.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "droplet-serve:", err)
-		os.Exit(1)
-	}
-	pol, err := cache.ParseReplacement(*repl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "droplet-serve:", err)
-		os.Exit(1)
-	}
-
-	suite := exp.NewSuite(sc)
+	// The suite's scale and policies only shape experiment tables; a
+	// served request resolves its own.
+	suite := exp.NewSuite(workload.Quick)
 	suite.Jobs = *jobs
-	suite.Replacement = pol
 	if *verbose {
 		suite.Progress = func(line string) { fmt.Fprintln(os.Stderr, "droplet-serve:", line) }
 	}
@@ -73,7 +67,7 @@ func main() {
 	}
 	// The bound address goes to stdout so harnesses using port 0 can
 	// discover the endpoint.
-	fmt.Printf("droplet-serve: listening on http://%s (scale=%v jobs=%d)\n", ln.Addr(), sc, *jobs)
+	fmt.Printf("droplet-serve: listening on http://%s (jobs=%d)\n", ln.Addr(), *jobs)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -20,23 +20,26 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"droplet/internal/cache"
+	"droplet"
 	"droplet/internal/core"
 	"droplet/internal/exp"
 	"droplet/internal/graph"
 	"droplet/internal/mem"
 	"droplet/internal/memsys"
 	"droplet/internal/sim"
+	"droplet/internal/simreq"
 	"droplet/internal/telemetry"
 	"droplet/internal/trace"
 	"droplet/internal/workload"
@@ -58,42 +61,60 @@ type runFlags struct {
 	epochCyc                     int64
 }
 
-func main() {
-	var rf runFlags
-	flag.StringVar(&rf.algo, "algo", "PR", "algorithm: BC, BFS, PR, SSSP, CC")
-	flag.StringVar(&rf.dataset, "dataset", "kron", "dataset: kron, urand, orkut, livejournal, road")
-	flag.StringVar(&rf.pf, "prefetcher", "droplet", "prefetcher: "+strings.Join(core.KindNames(), ", ")+" (comma-separated list restricts the -matrix pfx experiment)")
-	flag.StringVar(&rf.scale, "scale", "quick", "workload scale: quick, full, or huge (huge requires -stream)")
-	flag.StringVar(&rf.replacement, "replacement", "lru", "LLC replacement policy: lru, random, srrip, brrip, drrip, ship")
-	flag.StringVar(&rf.replacementL1, "replacement-l1", "lru", "private L1 replacement policy (same names as -replacement)")
-	flag.StringVar(&rf.replacementL2, "replacement-l2", "lru", "private L2 replacement policy (same names as -replacement)")
-	flag.IntVar(&rf.cores, "cores", 4, "number of simulated cores")
-	flag.IntVar(&rf.llcKB, "llc", 0, "override LLC size in KB (0 = scale default)")
-	flag.StringVar(&rf.graphEL, "graphfile", "", "run on a custom edge-list graph instead of a registered dataset")
-	flag.BoolVar(&rf.asJSON, "json", false, "emit the result summary as JSON (preamble goes to stderr)")
-	flag.BoolVar(&rf.stream, "stream", false, "replay through the pull-based trace generator instead of materializing the trace")
-	flag.IntVar(&rf.sampleInterval, "sample-interval", 0, "enable SMARTS sampling with this interval in epochs (0 = full run)")
-	flag.IntVar(&rf.sampleDetail, "sample-detail", 0, "measured epochs per sampling interval (0 = default 1)")
-	flag.IntVar(&rf.sampleWarmup, "sample-warmup", 0, "detailed warmup epochs per sampling interval (0 = default 1)")
-	flag.StringVar(&rf.warming, "warming", "functional", "fast-forward cache treatment: functional or none")
-	flag.StringVar(&rf.footprint, "footprint", "", "write a peak-memory JSON report to this file")
-	flag.StringVar(&rf.telemFormat, "telemetry", "", "stream epoch telemetry in this format: jsonl or csv (single-run mode)")
-	flag.StringVar(&rf.telemOut, "telemetry-out", "", "telemetry output file (default telemetry.<format>)")
-	flag.Int64Var(&rf.epochCyc, "epoch", 0, "telemetry/sampling epoch granularity in cycles (0 = default)")
-	var (
-		matrix     = flag.String("matrix", "", "run experiment tables (comma-separated ids or 'all') over the benchmark matrix instead of a single simulation")
-		benchmarks = flag.String("benchmarks", "", "restrict -matrix to comma-separated ALGO-dataset pairs (e.g. PR-kron,BFS-road)")
-		jobs       = flag.Int("jobs", runtime.NumCPU(), "parallel simulation workers (also bounds live traces)")
-		verbose    = flag.Bool("v", false, "print per-simulation progress to stderr")
-		outPath    = flag.String("o", "", "write -matrix tables to this file instead of stdout")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		telemDir   = flag.String("telemetry-dir", "", "stream per-simulation epoch JSONL files into this directory (-matrix mode)")
-	)
-	flag.Parse()
+// cliFlags is the whole command line: the single-run flags plus the
+// -matrix mode and profiling flags.
+type cliFlags struct {
+	runFlags
+	matrix, benchmarks     string
+	pfSet                  bool // -prefetcher was given explicitly
+	jobs                   int
+	verbose                bool
+	outPath, telemDir      string
+	cpuProfile, memProfile string
+}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+// parseFlags parses args (without the program name) into a cliFlags.
+func parseFlags(args []string) cliFlags {
+	var c cliFlags
+	fs := flag.NewFlagSet("dropletsim", flag.ExitOnError)
+	fs.StringVar(&c.algo, "algo", "PR", "algorithm: BC, BFS, PR, SSSP, CC")
+	fs.StringVar(&c.dataset, "dataset", "kron", "dataset: kron, urand, orkut, livejournal, road")
+	fs.StringVar(&c.pf, "prefetcher", "droplet", "prefetcher: "+strings.Join(core.KindNames(), ", ")+" (comma-separated list restricts the -matrix pfx experiment)")
+	fs.StringVar(&c.scale, "scale", "quick", "workload scale: quick, full, or huge (huge requires -stream)")
+	fs.StringVar(&c.replacement, "replacement", "lru", "LLC replacement policy: lru, random, srrip, brrip, drrip, ship")
+	fs.StringVar(&c.replacementL1, "replacement-l1", "lru", "private L1 replacement policy (same names as -replacement)")
+	fs.StringVar(&c.replacementL2, "replacement-l2", "lru", "private L2 replacement policy (same names as -replacement)")
+	fs.IntVar(&c.cores, "cores", 4, "number of simulated cores")
+	fs.IntVar(&c.llcKB, "llc", 0, "override LLC size in KB (0 = scale default)")
+	fs.StringVar(&c.graphEL, "graphfile", "", "run on a custom edge-list graph instead of a registered dataset")
+	fs.BoolVar(&c.asJSON, "json", false, "emit the result summary as JSON (preamble goes to stderr)")
+	fs.BoolVar(&c.stream, "stream", false, "replay through the pull-based trace generator instead of materializing the trace")
+	fs.IntVar(&c.sampleInterval, "sample-interval", 0, "enable SMARTS sampling with this interval in epochs (0 = full run)")
+	fs.IntVar(&c.sampleDetail, "sample-detail", 0, "measured epochs per sampling interval (0 = default 1)")
+	fs.IntVar(&c.sampleWarmup, "sample-warmup", 0, "detailed warmup epochs per sampling interval (0 = default 1)")
+	fs.StringVar(&c.warming, "warming", "functional", "fast-forward cache treatment: functional or none")
+	fs.StringVar(&c.footprint, "footprint", "", "write a peak-memory JSON report to this file")
+	fs.StringVar(&c.telemFormat, "telemetry", "", "stream epoch telemetry in this format: jsonl or csv (single-run mode)")
+	fs.StringVar(&c.telemOut, "telemetry-out", "", "telemetry output file (default telemetry.<format>)")
+	fs.Int64Var(&c.epochCyc, "epoch", 0, "telemetry/sampling epoch granularity in cycles (0 = default)")
+	fs.StringVar(&c.matrix, "matrix", "", "run experiment tables (comma-separated ids or 'all') over the benchmark matrix instead of a single simulation")
+	fs.StringVar(&c.benchmarks, "benchmarks", "", "restrict -matrix to comma-separated ALGO-dataset pairs (e.g. PR-kron,BFS-road)")
+	fs.IntVar(&c.jobs, "jobs", runtime.NumCPU(), "parallel simulation workers (also bounds live traces)")
+	fs.BoolVar(&c.verbose, "v", false, "print per-simulation progress to stderr")
+	fs.StringVar(&c.outPath, "o", "", "write -matrix tables to this file instead of stdout")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&c.telemDir, "telemetry-dir", "", "stream per-simulation epoch JSONL files into this directory (-matrix mode)")
+	fs.Parse(args)
+	fs.Visit(func(f *flag.Flag) { c.pfSet = c.pfSet || f.Name == "prefetcher" })
+	return c
+}
+
+func main() {
+	c := parseFlags(os.Args[1:])
+
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dropletsim:", err)
 			os.Exit(1)
@@ -105,9 +126,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
+	if c.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
+			f, err := os.Create(c.memProfile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "dropletsim:", err)
 				return
@@ -120,95 +141,122 @@ func main() {
 		}()
 	}
 
-	if *matrix != "" {
-		// -prefetcher only restricts the matrix's pfx experiment when the
-		// user set it explicitly; the single-run default must not leak in.
-		pfList := ""
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "prefetcher" {
-				pfList = rf.pf
-			}
-		})
-		sample, err := parseSampling(rf)
-		if err == nil {
-			err = runMatrix(*matrix, *benchmarks, pfList, rf, *jobs, *verbose, *outPath, *telemDir, sample)
+	rv, pfx, err := c.resolve()
+	if err == nil {
+		if c.matrix != "" {
+			err = runMatrix(c, rv, pfx)
+		} else {
+			err = run(c.runFlags, rv)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dropletsim:", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if err := run(rf); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "dropletsim:", err)
 		os.Exit(1)
 	}
 }
 
-// parseSampling resolves the sampling flags into a sim.Sampling (zero
-// when -sample-interval is unset).
-func parseSampling(rf runFlags) (sim.Sampling, error) {
-	if rf.sampleInterval == 0 {
-		return sim.Sampling{}, nil
+// request lowers the machine flags onto the canonical simulation
+// request: -algo and -dataset name the benchmark, and the sampling flags
+// become its sampling block when -sample-interval is set. -llc,
+// -graphfile, -stream and -footprint have no request field and stay
+// CLI-only.
+func (rf runFlags) request() simreq.Request {
+	q := simreq.Request{
+		Benchmark:     rf.algo + "-" + rf.dataset,
+		Scale:         rf.scale,
+		Cores:         rf.cores,
+		Prefetcher:    rf.pf,
+		Replacement:   rf.replacement,
+		ReplacementL1: rf.replacementL1,
+		ReplacementL2: rf.replacementL2,
+		EpochCycles:   rf.epochCyc,
 	}
-	w, err := sim.ParseWarming(rf.warming)
-	if err != nil {
-		return sim.Sampling{}, err
+	if rf.sampleInterval != 0 {
+		q.Sampling = &simreq.Sampling{
+			IntervalEpochs: rf.sampleInterval,
+			DetailEpochs:   rf.sampleDetail,
+			WarmupEpochs:   rf.sampleWarmup,
+			Warming:        rf.warming,
+		}
 	}
-	return sim.Sampling{
-		IntervalEpochs: rf.sampleInterval,
-		DetailEpochs:   rf.sampleDetail,
-		WarmupEpochs:   rf.sampleWarmup,
-		Warming:        w,
-	}, nil
+	return q
 }
 
-// runMatrix regenerates the requested experiment tables on a suite with
-// the given parallelism. Table bytes are deterministic: results come out
-// of the suite cache in table order no matter how the scheduler
-// interleaved the simulations, so -jobs N output diffs clean against
-// -jobs 1 (the CI smoke job relies on this), with or without sampling.
-func runMatrix(ids, benchList, pfList string, rf runFlags, jobs int, verbose bool, outPath, telemDir string, sample sim.Sampling) error {
-	sc, err := workload.ParseScale(rf.scale)
-	if err != nil {
-		return err
+// resolve lowers the flags onto one simreq.Request and resolves it, so
+// every invalid flag comes back in one simreq.FieldErrors before any
+// graph or trace is built. Under -matrix an explicit -prefetcher is a
+// comma-separated list restricting the pfx experiment: the request is
+// resolved once per entry, their errors merged, and the entries come
+// back as pfx.
+func (c cliFlags) resolve() (rv simreq.Resolved, pfx []core.PrefetcherKind, err error) {
+	q := c.request()
+	list := c.matrix != "" && c.pfSet
+	names := []string{c.pf}
+	if list {
+		names = strings.Split(c.pf, ",")
 	}
-	pol, err := cache.ParseReplacement(rf.replacement)
-	if err != nil {
-		return err
-	}
-	polL1, err := cache.ParseReplacement(rf.replacementL1)
-	if err != nil {
-		return err
-	}
-	polL2, err := cache.ParseReplacement(rf.replacementL2)
-	if err != nil {
-		return err
-	}
-	s := exp.NewSuite(sc)
-	s.Jobs = jobs
-	s.Sample = sample
-	s.EpochCycles = rf.epochCyc
-	s.Replacement = pol
-	s.ReplacementL1 = polL1
-	s.ReplacementL2 = polL2
-	if pfList != "" {
-		for _, name := range strings.Split(pfList, ",") {
-			k, err := core.ParseKind(strings.TrimSpace(name))
-			if err != nil {
-				return err
+	var errs simreq.FieldErrors
+	for _, name := range names {
+		q.Prefetcher = strings.TrimSpace(name)
+		r, err := q.Resolve()
+		if err != nil {
+			// The entries share every other field, so keep each
+			// distinct field error once.
+			var fe simreq.FieldErrors
+			if !errors.As(err, &fe) {
+				return simreq.Resolved{}, nil, err
 			}
-			s.Prefetchers = append(s.Prefetchers, k)
+			for _, f := range fe {
+				if !slices.Contains(errs, f) {
+					errs = append(errs, f)
+				}
+			}
+			continue
+		}
+		rv = r
+		if list {
+			pfx = append(pfx, rv.Prefetcher)
 		}
 	}
-	if telemDir != "" {
-		if err := os.MkdirAll(telemDir, 0o755); err != nil {
+	if errs != nil {
+		return simreq.Resolved{}, nil, errs
+	}
+	return rv, pfx, nil
+}
+
+// machine is the simulated machine and drive options for the resolved
+// flags: exp.MachineOf, plus the CLI-only -llc override.
+func (rf runFlags) machine(rv simreq.Resolved) (sim.Config, sim.Options) {
+	cfg, opts := exp.MachineOf(rv)
+	if rf.llcKB > 0 {
+		cfg.LLC.SizeBytes = rf.llcKB << 10
+	}
+	return cfg, opts
+}
+
+// runMatrix regenerates the requested experiment tables on a suite
+// configured from the resolved flags. Table bytes are deterministic:
+// results come out of the suite cache in table order no matter how the
+// scheduler interleaved the simulations, so -jobs N output diffs clean
+// against -jobs 1 (the CI smoke job relies on this), with or without
+// sampling.
+func runMatrix(c cliFlags, rv simreq.Resolved, pfx []core.PrefetcherKind) error {
+	s := exp.NewSuite(rv.Scale)
+	s.Jobs = c.jobs
+	s.Sample = rv.Sampling
+	s.EpochCycles = rv.EpochCycles
+	s.Replacement = rv.Replacement
+	s.ReplacementL1 = rv.ReplacementL1
+	s.ReplacementL2 = rv.ReplacementL2
+	s.Prefetchers = pfx
+	if c.telemDir != "" {
+		if err := os.MkdirAll(c.telemDir, 0o755); err != nil {
 			return err
 		}
-		s.TelemetryDir = telemDir
+		s.TelemetryDir = c.telemDir
 	}
-	if benchList != "" {
-		for _, name := range strings.Split(benchList, ",") {
+	if c.benchmarks != "" {
+		for _, name := range strings.Split(c.benchmarks, ",") {
 			b, err := workload.ParseBenchmark(strings.TrimSpace(name))
 			if err != nil {
 				return err
@@ -216,15 +264,15 @@ func runMatrix(ids, benchList, pfList string, rf runFlags, jobs int, verbose boo
 			s.Benchmarks = append(s.Benchmarks, b)
 		}
 	}
-	if verbose {
+	if c.verbose {
 		// The suite serializes Progress calls, so writing straight to
 		// stderr is safe under -jobs > 1.
 		s.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
 	var out io.Writer = os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
+	if c.outPath != "" {
+		f, err := os.Create(c.outPath)
 		if err != nil {
 			return err
 		}
@@ -233,10 +281,10 @@ func runMatrix(ids, benchList, pfList string, rf runFlags, jobs int, verbose boo
 	}
 
 	var exps []exp.Experiment
-	if ids == "all" {
+	if c.matrix == "all" {
 		exps = exp.Experiments
 	} else {
-		for _, id := range strings.Split(ids, ",") {
+		for _, id := range strings.Split(c.matrix, ",") {
 			e, err := exp.ExperimentByID(strings.TrimSpace(id))
 			if err != nil {
 				return err
@@ -254,22 +302,16 @@ func runMatrix(ids, benchList, pfList string, rf runFlags, jobs int, verbose boo
 	return nil
 }
 
-func run(rf runFlags) error {
-	a, err := workload.ParseAlgorithm(rf.algo)
-	if err != nil {
-		return err
-	}
-	kind, err := core.ParseKind(rf.pf)
-	if err != nil {
-		return err
-	}
-	sc, err := workload.ParseScale(rf.scale)
-	if err != nil {
-		return err
-	}
-	sample, err := parseSampling(rf)
-	if err != nil {
-		return err
+func run(rf runFlags, rv simreq.Resolved) error {
+	var newSink func(io.Writer) telemetry.Sink
+	switch rf.telemFormat {
+	case "":
+	case "jsonl":
+		newSink = func(w io.Writer) telemetry.Sink { return telemetry.NewJSONLSink(w) }
+	case "csv":
+		newSink = func(w io.Writer) telemetry.Sink { return telemetry.NewCSVSink(w) }
+	default:
+		return fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", rf.telemFormat)
 	}
 
 	// In -json mode stdout carries only the JSON summary; everything
@@ -285,40 +327,23 @@ func run(rf runFlags) error {
 		peak = trackPeakHeap()
 	}
 
-	cfg := exp.Machine(sc)
-	cfg.Cores = rf.cores
-	cfg.Prefetcher = kind
-	pol, err := cache.ParseReplacement(rf.replacement)
-	if err != nil {
-		return err
-	}
-	cfg.LLC.Policy = pol
-	if cfg.L1.Policy, err = cache.ParseReplacement(rf.replacementL1); err != nil {
-		return err
-	}
-	if cfg.L2.Policy, err = cache.ParseReplacement(rf.replacementL2); err != nil {
-		return err
-	}
-	if rf.llcKB > 0 {
-		cfg.LLC.SizeBytes = rf.llcKB << 10
-	}
-
+	cfg, opts := rf.machine(rv)
 	var simulate func(sim.Options) (*sim.Result, error)
 	var events int64
+	var err error
 	if rf.stream {
-		simulate, err = prepareStream(rf, a, sc, cfg, info)
+		simulate, err = prepareStream(rf, rv, cfg, info)
 	} else {
-		simulate, events, err = prepareTrace(rf, a, sc, cfg, info)
+		simulate, events, err = prepareTrace(rf, rv, cfg, info)
 	}
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(info, "simulating on %dKB/%dKB/%dKB hierarchy with %v...\n",
 		cfg.L1.SizeBytes>>10, cfg.L2.SizeBytes>>10, cfg.LLC.SizeBytes>>10, cfg.Prefetcher)
-	opts := sim.Options{Sampling: sample, EpochCycles: rf.epochCyc}
 	var r *sim.Result
-	if rf.telemFormat != "" {
-		r, err = runWithTelemetry(rf, a, simulate, opts, info)
+	if newSink != nil {
+		r, err = runWithTelemetry(rf, rv.Benchmark.Algo, newSink, simulate, opts, info)
 	} else {
 		r, err = simulate(opts)
 	}
@@ -327,7 +352,7 @@ func run(rf runFlags) error {
 	}
 
 	if rf.footprint != "" {
-		if err := writeFootprint(rf, sc, r, events, peak.stop()); err != nil {
+		if err := writeFootprint(rf, rv.Scale, r, events, peak.stop()); err != nil {
 			return err
 		}
 		fmt.Fprintf(info, "footprint written to %s\n", rf.footprint)
@@ -341,27 +366,29 @@ func run(rf runFlags) error {
 	return nil
 }
 
+// customOptions is the trace recipe for a -graphfile run: the request's
+// cores and its scale's event budget, with the benchmarks' two PageRank
+// iterations.
+func customOptions(rv simreq.Resolved) trace.Options {
+	return trace.Options{Cores: rv.Cores, MaxEvents: rv.Scale.MaxEvents(), PRIters: 2}
+}
+
 // prepareTrace generates (or loads) the full trace and returns the
 // simulation over it, plus the event count for the footprint report.
-func prepareTrace(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.Config, info io.Writer) (func(sim.Options) (*sim.Result, error), int64, error) {
+func prepareTrace(rf runFlags, rv simreq.Resolved, cfg sim.Config, info io.Writer) (func(sim.Options) (*sim.Result, error), int64, error) {
 	var tr *trace.Trace
+	var err error
 	if rf.graphEL != "" {
-		g, err := loadGraph(rf.graphEL, a, info)
-		if err != nil {
-			return nil, 0, err
-		}
-		tr, err = traceCustom(a, g, rf.cores, sc)
-		if err != nil {
-			return nil, 0, err
+		var g *graph.CSR
+		if g, err = loadGraph(rf.graphEL, rv.Benchmark.Algo, info); err == nil {
+			tr, err = droplet.TraceOf(rv.Benchmark.Algo, g, customOptions(rv))
 		}
 	} else {
-		b := workload.Benchmark{Algo: a, Dataset: rf.dataset}
-		fmt.Fprintf(info, "generating trace for %s at %s scale...\n", b, sc)
-		var err error
-		tr, err = workload.GenerateTrace(b, sc, rf.cores)
-		if err != nil {
-			return nil, 0, err
-		}
+		fmt.Fprintf(info, "generating trace for %s at %s scale...\n", rv.Benchmark, rv.Scale)
+		tr, err = workload.GenerateTrace(rv.Benchmark, rv.Scale, rv.Cores)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	fmt.Fprintf(info, "  %d events, %d instructions, %d cores\n", tr.Events(), tr.Instructions, tr.NumCores())
 	return func(opts sim.Options) (*sim.Result, error) {
@@ -371,25 +398,20 @@ func prepareTrace(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.
 
 // prepareStream sets up the pull-based generator and returns the
 // simulation over it.
-func prepareStream(rf runFlags, a workload.Algorithm, sc workload.Scale, cfg sim.Config, info io.Writer) (func(sim.Options) (*sim.Result, error), error) {
+func prepareStream(rf runFlags, rv simreq.Resolved, cfg sim.Config, info io.Writer) (func(sim.Options) (*sim.Result, error), error) {
 	var st *trace.Stream
+	var err error
 	if rf.graphEL != "" {
-		g, err := loadGraph(rf.graphEL, a, info)
-		if err != nil {
-			return nil, err
-		}
-		st, err = streamCustom(a, g, rf.cores, sc)
-		if err != nil {
-			return nil, err
+		var g *graph.CSR
+		if g, err = loadGraph(rf.graphEL, rv.Benchmark.Algo, info); err == nil {
+			st, err = droplet.StreamOf(rv.Benchmark.Algo, g, customOptions(rv), trace.StreamConfig{})
 		}
 	} else {
-		b := workload.Benchmark{Algo: a, Dataset: rf.dataset}
-		fmt.Fprintf(info, "streaming trace for %s at %s scale...\n", b, sc)
-		var err error
-		st, err = workload.GenerateStream(b, sc, rf.cores, trace.StreamConfig{})
-		if err != nil {
-			return nil, err
-		}
+		fmt.Fprintf(info, "streaming trace for %s at %s scale...\n", rv.Benchmark, rv.Scale)
+		st, err = workload.GenerateStream(rv.Benchmark, rv.Scale, rv.Cores, trace.StreamConfig{})
+	}
+	if err != nil {
+		return nil, err
 	}
 	fmt.Fprintf(info, "  window %d events/core, %d cores\n", st.WindowEvents(), st.NumCores())
 	return func(opts sim.Options) (*sim.Result, error) {
@@ -413,38 +435,24 @@ func loadGraph(path string, a workload.Algorithm, info io.Writer) (*graph.CSR, e
 }
 
 // runWithTelemetry runs simulate under opts with an epoch collector
-// streaming to the chosen sink format.
-func runWithTelemetry(rf runFlags, a workload.Algorithm, simulate func(sim.Options) (*sim.Result, error), opts sim.Options, info io.Writer) (*sim.Result, error) {
+// streaming to a sink built by newSink.
+func runWithTelemetry(rf runFlags, a workload.Algorithm, newSink func(io.Writer) telemetry.Sink, simulate func(sim.Options) (*sim.Result, error), opts sim.Options, info io.Writer) (*sim.Result, error) {
 	outPath := rf.telemOut
 	if outPath == "" {
 		outPath = "telemetry." + rf.telemFormat
-	}
-	var mkSink func(io.Writer) telemetry.Sink
-	switch rf.telemFormat {
-	case "jsonl":
-		mkSink = func(w io.Writer) telemetry.Sink { return telemetry.NewJSONLSink(w) }
-	case "csv":
-		mkSink = func(w io.Writer) telemetry.Sink { return telemetry.NewCSVSink(w) }
-	default:
-		return nil, fmt.Errorf("unknown telemetry format %q (want jsonl or csv)", rf.telemFormat)
 	}
 	benchName := rf.dataset
 	if rf.graphEL != "" {
 		benchName = rf.graphEL
 	}
-	meta := telemetry.RunMeta{
-		Benchmark:   fmt.Sprintf("%v-%s", a, benchName),
-		Kernel:      a.String(),
-		EpochCycles: rf.epochCyc,
-	}
-	if meta.EpochCycles == 0 {
-		meta.EpochCycles = sim.DefaultEpochCycles
-	}
 	f, err := os.Create(outPath)
 	if err != nil {
 		return nil, err
 	}
-	opts.Observer = telemetry.NewCollector(mkSink(f), meta)
+	opts.Observer = telemetry.NewCollector(newSink(f), telemetry.RunMeta{
+		Benchmark: fmt.Sprintf("%v-%s", a, benchName),
+		Kernel:    a.String(),
+	})
 	r, simErr := simulate(opts)
 	if closeErr := f.Close(); simErr == nil {
 		simErr = closeErr
@@ -454,50 +462,6 @@ func runWithTelemetry(rf runFlags, a workload.Algorithm, simulate func(sim.Optio
 	}
 	fmt.Fprintf(info, "telemetry written to %s\n", outPath)
 	return r, nil
-}
-
-// traceCustom records the chosen kernel over a user-supplied graph.
-func traceCustom(a workload.Algorithm, g *graph.CSR, cores int, sc workload.Scale) (*trace.Trace, error) {
-	opt := trace.Options{Cores: cores, MaxEvents: sc.MaxEvents(), PRIters: 2}
-	src := graph.LargestComponentSource(g)
-	switch a {
-	case workload.PR:
-		tr, _ := trace.PageRank(g, g.Transpose(), opt)
-		return tr, nil
-	case workload.BFS:
-		tr, _ := trace.BFS(g, src, opt)
-		return tr, nil
-	case workload.SSSP:
-		tr, _ := trace.SSSP(g, src, 0, opt)
-		return tr, nil
-	case workload.CC:
-		tr, _ := trace.CC(g, opt)
-		return tr, nil
-	case workload.BC:
-		tr, _ := trace.BC(g, []uint32{src}, opt)
-		return tr, nil
-	}
-	return nil, fmt.Errorf("unsupported algorithm %v", a)
-}
-
-// streamCustom is traceCustom's streaming twin.
-func streamCustom(a workload.Algorithm, g *graph.CSR, cores int, sc workload.Scale) (*trace.Stream, error) {
-	opt := trace.Options{Cores: cores, MaxEvents: sc.MaxEvents(), PRIters: 2}
-	src := graph.LargestComponentSource(g)
-	var cfg trace.StreamConfig
-	switch a {
-	case workload.PR:
-		return trace.StreamPageRank(g, g.Transpose(), opt, cfg), nil
-	case workload.BFS:
-		return trace.StreamBFS(g, src, opt, cfg), nil
-	case workload.SSSP:
-		return trace.StreamSSSP(g, src, 0, opt, cfg), nil
-	case workload.CC:
-		return trace.StreamCC(g, opt, cfg), nil
-	case workload.BC:
-		return trace.StreamBC(g, []uint32{src}, opt, cfg), nil
-	}
-	return nil, fmt.Errorf("unsupported algorithm %v", a)
 }
 
 // ------------------------------------------------------------- footprint

@@ -23,9 +23,9 @@ import (
 	"strings"
 	"time"
 
-	"droplet/internal/core"
 	"droplet/internal/exp"
 	"droplet/internal/sim"
+	"droplet/internal/simreq"
 	"droplet/internal/workload"
 )
 
@@ -88,51 +88,51 @@ func main() {
 
 func run(benchmarks, scale, pf string, epoch int64, interval, detail, warmup int,
 	warming string, maxErr, minSpeedup float64, jsonOut, out string) error {
-	sc, err := parseScale(scale)
-	if err != nil {
-		return err
+	// One request per benchmark, all resolved before any trace is built;
+	// each carries every flag, so a bad flag fails the first resolve with
+	// the complete field list.
+	q := simreq.Request{
+		Scale:       scale,
+		Prefetcher:  pf,
+		EpochCycles: epoch,
+		Sampling: &simreq.Sampling{
+			IntervalEpochs: interval,
+			DetailEpochs:   detail,
+			WarmupEpochs:   warmup,
+			Warming:        warming,
+		},
 	}
-	kind, err := core.ParseKind(pf)
-	if err != nil {
-		return err
+	var rvs []simreq.Resolved
+	for _, name := range strings.Split(benchmarks, ",") {
+		if q.Benchmark = strings.TrimSpace(name); q.Benchmark == "" {
+			continue
+		}
+		rv, err := q.Resolve()
+		if err != nil {
+			return err
+		}
+		rvs = append(rvs, rv)
 	}
-	warm, err := sim.ParseWarming(warming)
-	if err != nil {
-		return err
+	if len(rvs) == 0 {
+		return fmt.Errorf("no benchmarks selected")
 	}
-	sampling := sim.Sampling{
-		IntervalEpochs: interval,
-		DetailEpochs:   detail,
-		WarmupEpochs:   warmup,
-		Warming:        warm,
-	}
-
-	cfg := exp.Machine(sc)
-	cfg.Prefetcher = kind
 
 	art := artifact{
-		Scale:          scale,
-		Prefetcher:     pf,
+		Scale:          rvs[0].Scale.String(),
+		Prefetcher:     rvs[0].Prefetcher.String(),
 		EpochCycles:    epoch,
 		IntervalEpochs: interval,
 		DetailEpochs:   detail,
 		WarmupEpochs:   warmup,
-		Warming:        warm.String(),
+		Warming:        rvs[0].Sampling.Warming.String(),
 		MaxErr:         maxErr,
 		MinSpeedup:     minSpeedup,
 	}
 	var failures []string
 	logSpeedupSum := 0.0
-	for _, name := range strings.Split(benchmarks, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		b, err := workload.ParseBenchmark(name)
-		if err != nil {
-			return err
-		}
-		r, err := check(b, sc, cfg, sampling, epoch)
+	for _, rv := range rvs {
+		name := rv.Benchmark.String()
+		r, err := check(rv)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -143,9 +143,6 @@ func run(benchmarks, scale, pf string, epoch int64, interval, detail, warmup int
 				"%s: cycle error %+.2f%% exceeds bound %.2f%%",
 				name, r.CycleErrPct, maxErr*100))
 		}
-	}
-	if len(art.Rows) == 0 {
-		return fmt.Errorf("no benchmarks selected")
 	}
 	art.GeomeanSpeedup = math.Exp(logSpeedupSum / float64(len(art.Rows)))
 	if minSpeedup > 0 && art.GeomeanSpeedup < minSpeedup {
@@ -176,14 +173,15 @@ func run(benchmarks, scale, pf string, epoch int64, interval, detail, warmup int
 	return nil
 }
 
-// check runs one benchmark both ways on a single shared trace.
-func check(b workload.Benchmark, sc workload.Scale, cfg sim.Config,
-	sampling sim.Sampling, epoch int64) (row, error) {
-	tr, err := workload.GenerateTrace(b, sc, cfg.Cores)
+// check runs one benchmark both ways on a single shared trace: the
+// oracle unsampled, then under the request's sampling options.
+func check(rv simreq.Resolved) (row, error) {
+	tr, err := workload.GenerateTrace(rv.Benchmark, rv.Scale, rv.Cores)
 	if err != nil {
 		return row{}, err
 	}
 
+	cfg, opts := exp.MachineOf(rv)
 	t0 := time.Now()
 	oracle, err := sim.Run(tr, cfg)
 	if err != nil {
@@ -192,10 +190,7 @@ func check(b workload.Benchmark, sc workload.Scale, cfg sim.Config,
 	oracleDur := time.Since(t0)
 
 	t0 = time.Now()
-	sampled, err := sim.Simulate(context.Background(), tr, cfg, sim.Options{
-		Sampling:    sampling,
-		EpochCycles: epoch,
-	})
+	sampled, err := sim.Simulate(context.Background(), tr, cfg, opts)
 	if err != nil {
 		return row{}, err
 	}
@@ -206,7 +201,7 @@ func check(b workload.Benchmark, sc workload.Scale, cfg sim.Config,
 	}
 
 	r := row{
-		Benchmark:          b.String(),
+		Benchmark:          rv.Benchmark.String(),
 		OracleCycles:       oracle.Cycles,
 		ExtrapolatedCycles: rep.ExtrapolatedCycles,
 		CycleErrPct: 100 * float64(rep.ExtrapolatedCycles-oracle.Cycles) /
@@ -246,17 +241,4 @@ func format(art artifact) string {
 		sb.WriteString(": FAIL\n")
 	}
 	return sb.String()
-}
-
-func parseScale(s string) (workload.Scale, error) {
-	switch s {
-	case "quick":
-		return workload.Quick, nil
-	case "full":
-		return workload.Full, nil
-	case "huge":
-		return workload.Huge, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (quick, full, huge)", s)
-	}
 }

@@ -14,11 +14,12 @@ import (
 // implemented policy; LRU first as the baseline column).
 func replPolicies() []cache.Kind { return cache.AllKinds() }
 
-// replVariant names the machine variant that sets the LLC policy. The
-// LRU variant keeps the empty name so it shares the suite's cached
-// no-prefetch baseline instead of re-simulating it.
-func replVariant(k cache.Kind) Variant {
-	if k == cache.KindLRU {
+// replVariant names the machine variant that sets the LLC policy to k.
+// The suite's own policy (Suite.Replacement) keeps the empty name, so it
+// shares the cached no-prefetch baseline instead of re-simulating it;
+// every other policy, LRU included, gets its own repl-<policy> variant.
+func (s *Suite) replVariant(k cache.Kind) Variant {
+	if k == s.Replacement {
 		return Variant{}
 	}
 	kk := k
@@ -54,7 +55,7 @@ func RunReplacementSweep(s *Suite) (*ReplSweep, error) {
 	var reqs []Request
 	for _, b := range s.benchmarks() {
 		for _, k := range replPolicies() {
-			reqs = append(reqs, Request{Bench: b, Kind: core.NoPrefetch, Variant: replVariant(k)})
+			reqs = append(reqs, Request{Bench: b, Kind: core.NoPrefetch, Variant: s.replVariant(k)})
 		}
 	}
 	if err := s.Warm(reqs); err != nil {
@@ -64,7 +65,7 @@ func RunReplacementSweep(s *Suite) (*ReplSweep, error) {
 	for _, b := range s.benchmarks() {
 		row := make(map[string]ReplRow)
 		for _, k := range replPolicies() {
-			r, err := s.Result(b, core.NoPrefetch, replVariant(k))
+			r, err := s.Result(b, core.NoPrefetch, s.replVariant(k))
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,7 +45,7 @@ func RunReuseDist(s *Suite) (*ReuseDist, error) {
 	// Profiling is per-benchmark CPU-bound work, so it fans out on the
 	// suite's scheduler: traces come from the shared bounded cache and
 	// rows return in input order regardless of completion order.
-	rows, err := forEachBench(s, benches, func(b workload.Benchmark) (ReuseDistRow, error) {
+	rows, err := forEachBench(s, benches, func(_ context.Context, b workload.Benchmark) (ReuseDistRow, error) {
 		tr, entry, err := s.acquireTrace(b, s.Scale, 0)
 		if err != nil {
 			return ReuseDistRow{}, err

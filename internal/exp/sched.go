@@ -206,15 +206,23 @@ func (s *Suite) execute(ctx context.Context, key string, req Request) (any, erro
 	return s.runSim(ctx, rv, req.Variant.Mutate, key, label)
 }
 
-// machineOf builds the simulated machine for a resolved request.
-func machineOf(rv simreq.Resolved) sim.Config {
+// MachineOf lowers a resolved request onto the simulated machine and the
+// options that drive it. Together with simreq.Request.Resolve it is the
+// one path from a request — or from a front end's flags — to sim.Config
+// and sim.Options: the scheduler, the service and the CLIs all take it.
+func MachineOf(rv simreq.Resolved) (sim.Config, sim.Options) {
 	cfg := Machine(rv.Scale)
 	cfg.Cores = rv.Cores
 	cfg.Prefetcher = rv.Prefetcher
 	cfg.LLC.Policy = rv.Replacement
 	cfg.L1.Policy = rv.ReplacementL1
 	cfg.L2.Policy = rv.ReplacementL2
-	return cfg
+	return cfg, sim.Options{Sampling: rv.Sampling, EpochCycles: rv.EpochCycles}
+}
+
+// metaOf labels the epoch stream of a resolved request.
+func metaOf(rv simreq.Resolved) telemetry.RunMeta {
+	return telemetry.RunMeta{Benchmark: rv.Benchmark.String(), Kernel: rv.Benchmark.Algo.String(), Variant: rv.Variant}
 }
 
 // runSim executes one timing simulation against the (shared,
@@ -227,11 +235,11 @@ func (s *Suite) runSim(ctx context.Context, rv simreq.Resolved, mutate func(*sim
 	}
 	defer s.releaseTrace(entry)
 
-	cfg := machineOf(rv)
+	cfg, opts := MachineOf(rv)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	r, err := s.simulate(ctx, tr, rv, cfg, key)
+	r, err := s.simulate(ctx, tr, rv, cfg, opts, key)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", label, err)
 	}
@@ -240,10 +248,8 @@ func (s *Suite) runSim(ctx context.Context, rv simreq.Resolved, mutate func(*sim
 }
 
 // simulate runs one timing simulation, streaming epoch telemetry to
-// TelemetryDir (named by the request's canonical hash) and sampling per
-// the resolved request when configured.
-func (s *Suite) simulate(ctx context.Context, tr *trace.Trace, rv simreq.Resolved, cfg sim.Config, key string) (*sim.Result, error) {
-	opts := sim.Options{Sampling: rv.Sampling, EpochCycles: rv.EpochCycles}
+// TelemetryDir (named by the request's canonical hash) when configured.
+func (s *Suite) simulate(ctx context.Context, tr *trace.Trace, rv simreq.Resolved, cfg sim.Config, opts sim.Options, key string) (*sim.Result, error) {
 	if s.TelemetryDir == "" {
 		return sim.Simulate(ctx, tr, cfg, opts)
 	}
@@ -252,12 +258,7 @@ func (s *Suite) simulate(ctx context.Context, tr *trace.Trace, rv simreq.Resolve
 	if err != nil {
 		return nil, err
 	}
-	opts.Observer = telemetry.NewCollector(telemetry.NewJSONLSink(f), telemetry.RunMeta{
-		Benchmark:   rv.Benchmark.String(),
-		Kernel:      rv.Benchmark.Algo.String(),
-		Variant:     rv.Variant,
-		EpochCycles: metaEpochCycles(rv.EpochCycles),
-	})
+	opts.Observer = telemetry.NewCollector(telemetry.NewJSONLSink(f), metaOf(rv))
 	r, simErr := sim.Simulate(ctx, tr, cfg, opts)
 	if closeErr := f.Close(); simErr == nil {
 		simErr = closeErr
@@ -269,15 +270,6 @@ func (s *Suite) simulate(ctx context.Context, tr *trace.Trace, rv simreq.Resolve
 		return nil, simErr
 	}
 	return r, nil
-}
-
-// metaEpochCycles resolves a configured granularity for telemetry
-// metadata.
-func metaEpochCycles(v int64) int64 {
-	if v > 0 {
-		return v
-	}
-	return sim.DefaultEpochCycles
 }
 
 // progress serializes delivery to the optional Progress sink.
@@ -376,14 +368,6 @@ func (s *Suite) evictIdleLocked() bool {
 
 // -------------------------------------------------------------- scheduler
 
-// benchGroup is one benchmark's slice of a Warm batch: all requests that
-// share a trace, processed by one worker.
-type benchGroup struct {
-	idx   int
-	bench workload.Benchmark
-	reqs  []Request
-}
-
 // Warm executes reqs on a benchmark-major worker pool of jobs() workers:
 // requests sharing a benchmark run on the same worker (one trace
 // generation, sequential sims), while distinct benchmarks fan out. The
@@ -392,8 +376,8 @@ type benchGroup struct {
 // keys are deduplicated, so warming is idempotent and free for
 // already-cached requests.
 func (s *Suite) Warm(reqs []Request) error {
-	var groups []*benchGroup
-	byBench := make(map[string]*benchGroup)
+	var benches []workload.Benchmark
+	byBench := make(map[workload.Benchmark][]Request)
 	seen := make(map[string]bool)
 	for _, r := range reqs {
 		key := s.keyOf(r)
@@ -401,69 +385,26 @@ func (s *Suite) Warm(reqs []Request) error {
 			continue
 		}
 		seen[key] = true
-		bkey := r.Bench.String()
-		g, ok := byBench[bkey]
-		if !ok {
-			g = &benchGroup{idx: len(groups), bench: r.Bench}
-			byBench[bkey] = g
-			groups = append(groups, g)
+		if _, ok := byBench[r.Bench]; !ok {
+			benches = append(benches, r.Bench)
 		}
-		g.reqs = append(g.reqs, r)
+		byBench[r.Bench] = append(byBench[r.Bench], r)
 	}
-	if len(groups) == 0 {
-		return nil
-	}
-
-	workers := s.jobs()
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	work := make(chan *benchGroup)
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for g := range work {
-				if ctx.Err() != nil {
-					continue
-				}
-				if err := s.runGroup(ctx, g); err != nil {
-					//droplet:allow synccapture -- per-index scatter write: each worker owns disjoint errs slots and wg.Wait() orders them before any read
-					errs[g.idx] = err
-					cancel()
-				}
-			}
-		}()
-	}
-	for _, g := range groups {
-		work <- g
-	}
-	close(work)
-	wg.Wait()
-
-	// Report the earliest failure in submission order, so the error a
-	// caller sees does not depend on completion timing.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := forEachBench(s, benches, func(ctx context.Context, b workload.Benchmark) (struct{}, error) {
+		return struct{}{}, s.runGroup(ctx, b, byBench[b])
+	})
+	return err
 }
 
-// runGroup pins the group's trace once, then executes each request
-// through the singleflight cache (which reuses the pinned trace).
-func (s *Suite) runGroup(ctx context.Context, g *benchGroup) error {
-	_, entry, err := s.acquireTrace(g.bench, s.Scale, 0)
+// runGroup pins b's trace once, then executes each request through the
+// singleflight cache (which reuses the pinned trace).
+func (s *Suite) runGroup(ctx context.Context, b workload.Benchmark, reqs []Request) error {
+	_, entry, err := s.acquireTrace(b, s.Scale, 0)
 	if err != nil {
-		return fmt.Errorf("exp: %s: %w", g.bench, err)
+		return fmt.Errorf("exp: %s: %w", b, err)
 	}
 	defer s.releaseTrace(entry)
-	for _, req := range g.reqs {
+	for _, req := range reqs {
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -474,11 +415,14 @@ func (s *Suite) runGroup(ctx context.Context, g *benchGroup) error {
 	return nil
 }
 
-// forEachBench maps fn over benches on the scheduler's pool, preserving
-// input order in the returned slice. The first error cancels the
-// remaining work. It is the helper for experiment stages whose unit of
-// work is a whole benchmark (e.g. reuse-distance profiling).
-func forEachBench[T any](s *Suite, benches []workload.Benchmark, fn func(b workload.Benchmark) (T, error)) ([]T, error) {
+// forEachBench maps fn over benches on the scheduler's pool of
+// min(jobs, len(benches)) workers, preserving input order in the
+// returned slice. The first error cancels ctx, so work not yet started
+// is skipped, and the earliest error in input order is returned, so the
+// error a caller sees does not depend on completion timing. It runs
+// every stage whose unit of work is a whole benchmark: Warm's groups and
+// reuse-distance profiling.
+func forEachBench[T any](s *Suite, benches []workload.Benchmark, fn func(ctx context.Context, b workload.Benchmark) (T, error)) ([]T, error) {
 	out := make([]T, len(benches))
 	errs := make([]error, len(benches))
 	workers := s.jobs()
@@ -504,7 +448,7 @@ func forEachBench[T any](s *Suite, benches []workload.Benchmark, fn func(b workl
 				if ctx.Err() != nil {
 					continue
 				}
-				v, err := fn(it.b)
+				v, err := fn(ctx, it.b)
 				if err != nil {
 					//droplet:allow synccapture -- per-index scatter write: each item owns disjoint errs slots and wg.Wait() orders them before any read
 					errs[it.idx] = err

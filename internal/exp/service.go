@@ -63,17 +63,9 @@ func (s *Suite) SimTelemetry(ctx context.Context, q simreq.Request, sink telemet
 		return nil, err
 	}
 	defer s.releaseTrace(entry)
-	col := telemetry.NewCollector(sink, telemetry.RunMeta{
-		Benchmark:   rv.Benchmark.String(),
-		Kernel:      rv.Benchmark.Algo.String(),
-		Variant:     rv.Variant,
-		EpochCycles: metaEpochCycles(rv.EpochCycles),
-	})
-	return sim.Simulate(ctx, tr, machineOf(rv), sim.Options{
-		Observer:    col,
-		EpochCycles: rv.EpochCycles,
-		Sampling:    rv.Sampling,
-	})
+	cfg, opts := MachineOf(rv)
+	opts.Observer = telemetry.NewCollector(sink, metaOf(rv))
+	return sim.Simulate(ctx, tr, cfg, opts)
 }
 
 // PinnedTraceRefs reports the total number of outstanding trace pins —

@@ -90,8 +90,9 @@ type Suite struct {
 	// for every simulation (zero value: LRU). It is a whole-suite setting,
 	// not part of the per-request cache key — construct one Suite per
 	// policy (as the CLIs do) rather than mutating it between requests.
-	// The "repl" experiment sweeps policies via per-request Variants
-	// instead and ignores this field.
+	// The "repl" experiment sweeps policies via per-request Variants on
+	// top of it: its column for this policy is the suite baseline, and
+	// every other column (LRU included) is a repl-<policy> variant.
 	Replacement cache.Kind
 	// ReplacementL1 and ReplacementL2 set the private-cache replacement
 	// policies the same way (zero value: LRU, the Table I baseline).

@@ -77,9 +77,10 @@ type Server struct {
 	metrics Metrics
 }
 
-// New wraps suite in a Server. The suite's Scale, Jobs, and policy
-// fields keep their usual meaning; TelemetryDir should stay empty (the
-// service streams telemetry per request instead).
+// New wraps suite in a Server. Every request resolves its own machine,
+// so of the suite's settings only Jobs and Progress apply; its Scale and
+// policy fields shape experiment tables alone. TelemetryDir should stay
+// empty (the service streams telemetry per request instead).
 func New(suite *exp.Suite) *Server {
 	s := &Server{
 		suite:   suite,

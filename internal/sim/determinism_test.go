@@ -117,7 +117,7 @@ func TestQuantumDriverMatchesReference(t *testing.T) {
 						return Simulate(bg, tr, c, Options{EpochCycles: 1000, Progress: func(int64) {}})
 					}},
 					{"observer", func() (*Result, error) {
-						col := telemetry.NewCollector(&telemetry.MemorySink{}, telemetry.RunMeta{EpochCycles: 1000})
+						col := telemetry.NewCollector(&telemetry.MemorySink{}, telemetry.RunMeta{})
 						return Simulate(bg, tr, c, Options{Observer: col, EpochCycles: 1000, Progress: func(int64) {}})
 					}},
 					{"stream", func() (*Result, error) { return SimulateStream(bg, streams[name](), c, Options{}) }},

@@ -215,7 +215,7 @@ func driveAndCollect(ctx context.Context, cfg Config, h *memsys.Hierarchy, att *
 		onEpoch = opts.Progress
 	}
 	if opts.Observer != nil {
-		if err := opts.Observer.Attach(telemetry.Sources{Cores: cores, Hier: h, Att: att}); err != nil {
+		if err := opts.Observer.Attach(telemetry.Sources{Cores: cores, Hier: h, Att: att, EpochCycles: epoch}); err != nil {
 			return nil, err
 		}
 	}

@@ -65,7 +65,7 @@ func TestSimulateStreamMatchesRun(t *testing.T) {
 			pf.Prefetcher = core.DROPLET
 			epochs := func(simulate func(Options) (*Result, error)) []byte {
 				var buf bytes.Buffer
-				col := telemetry.NewCollector(telemetry.NewJSONLSink(&buf), telemetry.RunMeta{Benchmark: name, EpochCycles: 20_000})
+				col := telemetry.NewCollector(telemetry.NewJSONLSink(&buf), telemetry.RunMeta{Benchmark: name})
 				if _, err := simulate(Options{Observer: col, EpochCycles: 20_000}); err != nil {
 					t.Fatal(err)
 				}

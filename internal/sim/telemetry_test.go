@@ -47,7 +47,7 @@ func TestSimulateObserverInvariance(t *testing.T) {
 			}
 
 			sink := &telemetry.MemorySink{}
-			col := telemetry.NewCollector(sink, telemetry.RunMeta{EpochCycles: 5000})
+			col := telemetry.NewCollector(sink, telemetry.RunMeta{})
 			observed, err := Simulate(context.Background(), tr, cfg, Options{Observer: col, EpochCycles: 5000})
 			if err != nil {
 				t.Fatal(err)
@@ -107,9 +107,7 @@ func TestSimulateJSONLRoundTrip(t *testing.T) {
 	cfg.Prefetcher = core.DROPLET
 
 	var buf bytes.Buffer
-	col := telemetry.NewCollector(telemetry.NewJSONLSink(&buf), telemetry.RunMeta{
-		Benchmark: "kron10", Kernel: "pr", EpochCycles: 5000,
-	})
+	col := telemetry.NewCollector(telemetry.NewJSONLSink(&buf), telemetry.RunMeta{Benchmark: "kron10", Kernel: "pr"})
 	if _, err := Simulate(context.Background(), tr, cfg, Options{Observer: col, EpochCycles: 5000}); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +115,8 @@ func TestSimulateJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Benchmark != "kron10" || meta.Kernel != "pr" || meta.Prefetcher != "droplet" || meta.Cores != cfg.Cores {
+	// Cores, prefetcher and epoch granularity come from the driven machine.
+	if meta.Benchmark != "kron10" || meta.Kernel != "pr" || meta.Prefetcher != "droplet" || meta.Cores != cfg.Cores || meta.EpochCycles != 5000 {
 		t.Errorf("meta round-trip mismatch: %+v", meta)
 	}
 	if n < 2 {

@@ -37,8 +37,8 @@ type Collector struct {
 }
 
 // NewCollector builds a Collector writing to sink. meta's label slices
-// are filled automatically; EpochCycles should match the granularity the
-// simulator was asked to drive.
+// are filled automatically, and Attach fills Cores, Prefetcher and
+// EpochCycles from the machine the simulator drives.
 func NewCollector(sink Sink, meta RunMeta) *Collector {
 	meta.FillLabels()
 	return &Collector{sink: sink, meta: meta}
@@ -50,6 +50,7 @@ func (c *Collector) Attach(src Sources) error {
 	c.src = src
 	n := len(src.Cores)
 	c.meta.Cores = n
+	c.meta.EpochCycles = src.EpochCycles
 	if src.Att != nil {
 		c.meta.Prefetcher = src.Att.Kind.String()
 	}

@@ -40,6 +40,9 @@ type Sources struct {
 	Cores []*cpu.Core
 	Hier  *memsys.Hierarchy
 	Att   *core.Attachment
+	// EpochCycles is the epoch granularity the simulator drives, in core
+	// cycles (the default already applied).
+	EpochCycles int64
 }
 
 // Observer is the pull-based hook the simulator drives. Attach is called
