@@ -64,13 +64,17 @@ type Edge = graph.Edge
 // GraphOptions configures the synthetic generators.
 type GraphOptions = graph.GenOptions
 
-// BuildOptions configures FromEdges.
+// BuildOptions configures FromEdges. With Dedupe, a duplicated weighted
+// edge keeps its smallest weight, so a symmetrized graph's two directions
+// of an edge always agree.
 type BuildOptions = graph.BuildOptions
 
 // DegreeStats summarizes a graph's degree distribution.
 type DegreeStats = graph.DegreeStats
 
-// FromEdges builds a CSR graph from an edge list.
+// FromEdges builds a CSR graph from an edge list, in time linear in the
+// edges plus a sort of each neighbor list. Lists are sorted by neighbor
+// ID (then weight). A symmetrized graph is its own transpose.
 func FromEdges(edges []Edge, opt BuildOptions) (*Graph, error) {
 	return graph.FromEdges(edges, opt)
 }

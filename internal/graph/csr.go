@@ -12,7 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge from U to V with an optional weight.
@@ -30,6 +30,10 @@ type CSR struct {
 	offsets []int64  // len NumVertices()+1; offsets[v]..offsets[v+1] index neigh
 	neigh   []uint32 // neighbor IDs, len NumEdges()
 	weights []int32  // nil for unweighted graphs, else len NumEdges()
+	// symmetric records that FromEdges symmetrized the graph: every u→v
+	// edge has a v→u twin of equal weight, so the graph is its own
+	// transpose.
+	symmetric bool
 }
 
 // NumVertices returns the number of vertices.
@@ -108,7 +112,9 @@ type BuildOptions struct {
 	NumVertices int
 	// Symmetrize adds the reverse of every edge (undirected graphs).
 	Symmetrize bool
-	// Dedupe removes duplicate (u,v) pairs, keeping the first weight.
+	// Dedupe removes duplicate (u,v) pairs. A weighted pair keeps its
+	// smallest weight, whatever the input order, so both directions of a
+	// symmetrized edge keep the same one.
 	Dedupe bool
 	// DropSelfLoops removes u==v edges.
 	DropSelfLoops bool
@@ -116,10 +122,16 @@ type BuildOptions struct {
 	Weighted bool
 }
 
-// FromEdges builds a CSR from an edge list. Neighbor lists are sorted by
-// destination ID, matching the layout GAP produces.
+// FromEdges builds a CSR from an edge list. It counts out-degrees,
+// prefix-sums them into the offsets, scatters every edge (and its reverse
+// when symmetrizing) straight into the neighbor array, then sorts each
+// neighbor list in place: by destination ID, matching the layout GAP
+// produces, and for weighted graphs by (destination, weight), so parallel
+// edges come out lightest first and Dedupe keeps the smallest weight.
+// After Dedupe the neighbor and weight arrays may keep their pre-dedupe
+// capacity.
 func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
-	n := opt.NumVertices
+	n := max(opt.NumVertices, 0)
 	for _, e := range edges {
 		if int(e.U) >= n {
 			n = int(e.U) + 1
@@ -137,57 +149,124 @@ func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 		n = opt.NumVertices
 	}
 
-	work := make([]Edge, 0, len(edges)*2)
+	g := &CSR{offsets: make([]int64, n+1), symmetric: opt.Symmetrize}
+	off := g.offsets
 	for _, e := range edges {
 		if opt.DropSelfLoops && e.U == e.V {
 			continue
 		}
-		work = append(work, e)
+		off[e.U+1]++
 		if opt.Symmetrize && e.U != e.V {
-			work = append(work, Edge{U: e.V, V: e.U, W: e.W})
-		}
-	}
-
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].U != work[j].U {
-			return work[i].U < work[j].U
-		}
-		return work[i].V < work[j].V
-	})
-	if opt.Dedupe {
-		out := work[:0]
-		for i, e := range work {
-			if i > 0 && e.U == work[i-1].U && e.V == work[i-1].V {
-				continue
-			}
-			out = append(out, e)
-		}
-		work = out
-	}
-
-	g := &CSR{
-		offsets: make([]int64, n+1),
-		neigh:   make([]uint32, len(work)),
-	}
-	if opt.Weighted {
-		g.weights = make([]int32, len(work))
-	}
-	for i, e := range work {
-		g.offsets[e.U+1]++
-		g.neigh[i] = e.V
-		if opt.Weighted {
-			g.weights[i] = e.W
+			off[e.V+1]++
 		}
 	}
 	for v := 0; v < n; v++ {
-		g.offsets[v+1] += g.offsets[v]
+		off[v+1] += off[v]
 	}
+	g.neigh = make([]uint32, off[n])
+	if opt.Weighted {
+		g.weights = make([]int32, off[n])
+	}
+	// off[u] is u's write cursor; the scatter leaves it at the start of
+	// u+1's list, so shifting the array right by one restores the offsets.
+	for _, e := range edges {
+		if opt.DropSelfLoops && e.U == e.V {
+			continue
+		}
+		g.place(e.U, e.V, e.W)
+		if opt.Symmetrize && e.U != e.V {
+			g.place(e.V, e.U, e.W)
+		}
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	g.sortLists(opt.Dedupe)
 	return g, nil
 }
 
-// Transpose returns the reverse graph (every edge u→v becomes v→u).
-// Weights follow their edges.
+// place writes edge u→v (weight w) at u's cursor and advances it.
+func (g *CSR) place(u, v uint32, w int32) {
+	i := g.offsets[u]
+	g.offsets[u]++
+	g.neigh[i] = v
+	if g.weights != nil {
+		g.weights[i] = w
+	}
+}
+
+// sortLists sorts every neighbor list (by neighbor, then weight) and, with
+// dedupe, keeps the first entry of each run of equal neighbors, compacting
+// the lists towards the front of the arrays.
+func (g *CSR) sortLists(dedupe bool) {
+	n := g.NumVertices()
+	var keys []uint64 // scratch for weighted lists
+	var w, lo int64
+	for u := 0; u < n; u++ {
+		hi := g.offsets[u+1]
+		if g.weights == nil {
+			slices.Sort(g.neigh[lo:hi])
+		} else {
+			keys = sortWeighted(g.neigh[lo:hi], g.weights[lo:hi], keys)
+		}
+		if dedupe {
+			start := w
+			for i := lo; i < hi; i++ {
+				if w > start && g.neigh[i] == g.neigh[w-1] {
+					continue
+				}
+				g.neigh[w] = g.neigh[i]
+				if g.weights != nil {
+					g.weights[w] = g.weights[i]
+				}
+				w++
+			}
+			g.offsets[u] = start
+		}
+		lo = hi
+	}
+	if dedupe {
+		g.offsets[n] = w
+		g.neigh = g.neigh[:w]
+		if g.weights != nil {
+			g.weights = g.weights[:w]
+		}
+	}
+}
+
+// sortWeighted sorts one neighbor list and its parallel weights by
+// (neighbor, weight), packing each pair into a uint64 key whose order is
+// that of the pair; flipping the sign bit orders the signed weights. keys
+// is scratch space, returned for reuse.
+func sortWeighted(neigh []uint32, weights []int32, keys []uint64) []uint64 {
+	if len(neigh) < 2 {
+		return keys
+	}
+	keys = keys[:0]
+	for i, v := range neigh {
+		keys = append(keys, uint64(v)<<32|uint64(uint32(weights[i])^1<<31))
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		neigh[i] = uint32(k >> 32)
+		weights[i] = int32(uint32(k) ^ 1<<31)
+	}
+	return keys
+}
+
+// Transpose returns the reverse graph (every edge u→v becomes v→u), with
+// weights following their edges. A graph FromEdges symmetrized is its own
+// transpose, so Transpose returns the receiver for it; any other graph is
+// counting-sorted by destination into a new CSR.
 func (g *CSR) Transpose() *CSR {
+	if g.symmetric {
+		return g
+	}
+	return g.transpose()
+}
+
+// transpose is the general transpose: a counting sort of the edges by
+// destination, which leaves each reversed list sorted by source.
+func (g *CSR) transpose() *CSR {
 	n := g.NumVertices()
 	t := &CSR{
 		offsets: make([]int64, n+1),

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -153,8 +155,8 @@ func TestPropCSRPreservesEdgeMultiset(t *testing.T) {
 		for _, e := range edges {
 			want = append(want, uint64(e.U)<<32|uint64(e.V))
 		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		slices.Sort(got)
+		slices.Sort(want)
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -205,8 +207,7 @@ func TestNeighborsSorted(t *testing.T) {
 			return false
 		}
 		for v := 0; v < n; v++ {
-			nb := g.Neighbors(uint32(v))
-			if !sort.SliceIsSorted(nb, func(i, j int) bool { return nb[i] < nb[j] }) {
+			if !slices.IsSorted(g.Neighbors(uint32(v))) {
 				return false
 			}
 		}
@@ -214,5 +215,157 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceFromEdges is the sort-and-scan construction FromEdges replaced:
+// copy every kept edge (and its reverse when symmetrizing) into one work
+// list, sort it by (U, V, W), and keep the first of each (U, V) run, which
+// is the smallest weight. FromEdges must build exactly this CSR.
+func referenceFromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
+	n := max(opt.NumVertices, 0)
+	for _, e := range edges {
+		n = max(n, int(e.U)+1, int(e.V)+1)
+	}
+	if opt.NumVertices > 0 {
+		for _, e := range edges {
+			if int(e.U) >= opt.NumVertices || int(e.V) >= opt.NumVertices {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.U, e.V, opt.NumVertices)
+			}
+		}
+		n = opt.NumVertices
+	}
+	var work []Edge
+	for _, e := range edges {
+		if opt.DropSelfLoops && e.U == e.V {
+			continue
+		}
+		if !opt.Weighted {
+			e.W = 0
+		}
+		work = append(work, e)
+		if opt.Symmetrize && e.U != e.V {
+			work = append(work, Edge{U: e.V, V: e.U, W: e.W})
+		}
+	}
+	slices.SortFunc(work, func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(x.U, y.U), cmp.Compare(x.V, y.V), cmp.Compare(x.W, y.W))
+	})
+	if opt.Dedupe {
+		work = slices.CompactFunc(work, func(x, y Edge) bool { return x.U == y.U && x.V == y.V })
+	}
+	g := &CSR{offsets: make([]int64, n+1), neigh: make([]uint32, len(work))}
+	if opt.Weighted {
+		g.weights = make([]int32, len(work))
+	}
+	for i, e := range work {
+		g.offsets[e.U+1]++
+		g.neigh[i] = e.V
+		if opt.Weighted {
+			g.weights[i] = e.W
+		}
+	}
+	for v := 0; v < n; v++ {
+		g.offsets[v+1] += g.offsets[v]
+	}
+	return g, nil
+}
+
+// sameCSR reports whether two CSRs hold the same offsets, neighbors and
+// weights (nil weights only match nil weights).
+func sameCSR(a, b *CSR) bool {
+	return slices.Equal(a.offsets, b.offsets) && slices.Equal(a.neigh, b.neigh) &&
+		(a.weights == nil) == (b.weights == nil) && slices.Equal(a.weights, b.weights)
+}
+
+// randomEdges draws m edges over n vertices with small, possibly negative
+// weights, so self loops and duplicates with differing weights are common.
+func randomEdges(r *RNG, n, m int) []Edge {
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n)), W: int32(r.Intn(9)) - 4}
+	}
+	return edges
+}
+
+// TestFromEdgesMatchesReference checks FromEdges against the reference
+// construction on random edge lists under every combination of options,
+// including a NumVertices too small for the IDs, which both must reject
+// with the same error.
+func TestFromEdgesMatchesReference(t *testing.T) {
+	r := NewRNG(3)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(24)
+		edges := randomEdges(r, n, r.Intn(4*n+1))
+		for mask := 0; mask < 16; mask++ {
+			for _, nv := range []int{0, n - 1, n, n + 3} {
+				opt := BuildOptions{
+					NumVertices:   nv,
+					Symmetrize:    mask&1 != 0,
+					Dedupe:        mask&2 != 0,
+					DropSelfLoops: mask&4 != 0,
+					Weighted:      mask&8 != 0,
+				}
+				got, err := FromEdges(edges, opt)
+				want, wantErr := referenceFromEdges(edges, opt)
+				if wantErr != nil || err != nil {
+					if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("trial %d %+v: error %v, want %v", trial, opt, err, wantErr)
+					}
+					continue
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("trial %d %+v: %v", trial, opt, err)
+				}
+				if !sameCSR(got, want) {
+					t.Fatalf("trial %d %+v on %v:\n got %v %v %v\nwant %v %v %v", trial, opt, edges,
+						got.offsets, got.neigh, got.weights, want.offsets, want.neigh, want.weights)
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedDuplicatesKeepSmallest pins the dedupe rule: whatever the
+// input order, a duplicated pair keeps its smallest weight in both
+// directions, and without Dedupe parallel edges come out lightest first.
+func TestWeightedDuplicatesKeepSmallest(t *testing.T) {
+	edges := []Edge{{U: 0, V: 1, W: 9}, {U: 1, V: 0, W: -2}, {U: 0, V: 1, W: 4}}
+	g := mustBuild(t, edges, BuildOptions{Symmetrize: true, Dedupe: true, Weighted: true})
+	if w0, w1 := g.NeighborWeights(0), g.NeighborWeights(1); !slices.Equal(w0, []int32{-2}) || !slices.Equal(w1, []int32{-2}) {
+		t.Errorf("deduped weights 0→1 %v, 1→0 %v, want [-2] both", w0, w1)
+	}
+	g = mustBuild(t, edges, BuildOptions{Weighted: true})
+	if w := g.NeighborWeights(0); !slices.Equal(w, []int32{4, 9}) {
+		t.Errorf("parallel 0→1 weights %v, want [4 9]", w)
+	}
+}
+
+// TestTransposeOfSymmetrized checks that a symmetrized graph's Transpose
+// is the graph itself, and that the general transpose computes the same
+// arrays, so skipping it changes nothing.
+func TestTransposeOfSymmetrized(t *testing.T) {
+	r := NewRNG(4)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(24)
+		edges := randomEdges(r, n, r.Intn(4*n+1))
+		for mask := 0; mask < 8; mask++ {
+			opt := BuildOptions{
+				Symmetrize:    true,
+				Dedupe:        mask&1 != 0,
+				DropSelfLoops: mask&2 != 0,
+				Weighted:      mask&4 != 0,
+			}
+			g := mustBuild(t, edges, opt)
+			if g.Transpose() != g {
+				t.Fatalf("trial %d %+v: Transpose of a symmetrized graph is a copy", trial, opt)
+			}
+			if !sameCSR(g.transpose(), g) {
+				t.Fatalf("trial %d %+v: general transpose differs from the graph", trial, opt)
+			}
+		}
+		if g := mustBuild(t, edges, BuildOptions{Weighted: true}); g.Transpose() == g {
+			t.Fatalf("trial %d: Transpose of a directed graph returned the receiver", trial)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // GenOptions configures the synthetic graph generators.
 type GenOptions struct {
@@ -44,22 +47,14 @@ func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
 	n := 1 << scale
 	m := n * degree
 	r := NewRNG(opt.Seed ^ 0x7a3d_91c4_55aa_0f0f)
+	q := newRMATQuadrants(a, b, c)
 	edges := make([]Edge, 0, m)
 	for i := 0; i < m; i++ {
 		var u, v uint32
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
-			switch {
-			case p < a:
-				// upper-left: no bits set
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+		for range scale {
+			bu, bv := q.pick(r.Uint64() >> 11)
+			u = u<<1 | bu
+			v = v<<1 | bv
 		}
 		edges = append(edges, Edge{U: u, V: v})
 	}
@@ -71,6 +66,52 @@ func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
 		DropSelfLoops: true,
 		Weighted:      opt.Weighted,
 	})
+}
+
+// rmatQuadrants picks one RMAT level's quadrant from a 53-bit draw k by
+// integer compares. The quadrant is the one whose cumulative interval
+// [0,a), [a,a+b), [a+b,a+b+c), [a+b+c,1) holds p = k/2^53 (RNG.Float64),
+// and p ≥ t exactly when k ≥ ⌈t·2^53⌉, so the compares pick the quadrant
+// the float ones would, draw for draw.
+type rmatQuadrants struct{ a, ab, abc uint64 }
+
+// newRMATQuadrants computes the thresholds from the float64 sums a+b and
+// a+b+c. Each cut is at least the one before it: a negative b or c then
+// empties a quadrant, as a first-match float compare chain would.
+func newRMATQuadrants(a, b, c float64) rmatQuadrants {
+	q := rmatQuadrants{a: rmatThreshold(a)}
+	q.ab = max(rmatThreshold(a+b), q.a)
+	q.abc = max(rmatThreshold(a+b+c), q.ab)
+	return q
+}
+
+// pick returns the quadrant's source and destination bits for draw k. The
+// source bit marks the last two quadrants, [a+b,1); the destination bit
+// marks the second and fourth, which is the parity of the three compares.
+func (q rmatQuadrants) pick(k uint64) (u, v uint32) {
+	u = b2u(k >= q.ab)
+	return u, b2u(k >= q.a) ^ u ^ b2u(k >= q.abc)
+}
+
+// rmatThreshold returns ⌈t·2^53⌉ clamped to [0, 2^53]: the least 53-bit k
+// with k/2^53 ≥ t. t·2^53 is exact in float64 (a power-of-two scaling),
+// so the threshold is too. A NaN t gives 0, as p < NaN is false.
+func rmatThreshold(t float64) uint64 {
+	switch {
+	case !(t > 0):
+		return 0
+	case t >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(t * (1 << 53)))
+}
+
+// b2u converts a bool to 0 or 1.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Kron generates a GAP-style Kronecker graph (RMAT with a=0.57, b=c=0.19),

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 func TestKronDeterministicAndValid(t *testing.T) {
 	g1, err := Kron(8, 8, GenOptions{Seed: 42})
@@ -191,5 +195,73 @@ func TestLargestComponentSource(t *testing.T) {
 	g := mustBuild(t, []Edge{{U: 3, V: 0}, {U: 3, V: 1}, {U: 3, V: 2}, {U: 1, V: 0}}, BuildOptions{})
 	if s := LargestComponentSource(g); s != 3 {
 		t.Errorf("source = %d, want 3", s)
+	}
+}
+
+// TestWeightedSymmetrizedGraphsAreSymmetric checks that every edge of a
+// weighted, symmetrized generated graph has a reverse edge of the same
+// weight: duplicates must keep the same weight in both directions.
+func TestWeightedSymmetrizedGraphsAreSymmetric(t *testing.T) {
+	opt := GenOptions{Seed: 5, Weighted: true, Symmetrize: true}
+	for name, gen := range map[string]func(int, int, GenOptions) (*CSR, error){
+		"kron": Kron, "urand": Uniform, "social": SocialNetwork,
+	} {
+		g, err := gen(12, 16, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		bad := 0
+		for u := 0; u < g.NumVertices(); u++ {
+			for i, v := range g.Neighbors(uint32(u)) {
+				j, ok := slices.BinarySearch(g.Neighbors(v), uint32(u))
+				if !ok || g.NeighborWeights(v)[j] != g.NeighborWeights(uint32(u))[i] {
+					bad++
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s: %d of %d edges lack a reverse edge of equal weight", name, bad, g.NumEdges())
+		}
+	}
+}
+
+// TestRMATThresholdsMatchFloatCompares checks the integer quadrant rule
+// RMAT uses against the float compare chain it replaced, on random draws
+// and on the draws next to every threshold, for GAP's partitions and for
+// degenerate ones (a negative or NaN probability, an empty quadrant).
+func TestRMATThresholdsMatchFloatCompares(t *testing.T) {
+	float := func(k uint64, a, b, c float64) (u, v uint32) {
+		switch p := float64(k) / (1 << 53); {
+		case p < a:
+		case p < a+b:
+			v = 1
+		case p < a+b+c:
+			u = 1
+		default:
+			u, v = 1, 1
+		}
+		return u, v
+	}
+	r := NewRNG(6)
+	for _, p := range [][3]float64{
+		{0.57, 0.19, 0.19}, {0.45, 0.22, 0.22}, {0.25, 0.25, 0.25}, {0.1, 0.2, 0.3},
+		{0, 0, 0}, {0.5, 0, 0.2}, {0.5, -0.2, 0.3}, {-0.1, 0.4, 0.2}, {0.3, 0.2, -0.4}, {math.NaN(), 0.2, 0.2},
+	} {
+		a, b, c := p[0], p[1], p[2]
+		q := newRMATQuadrants(a, b, c)
+		draws := []uint64{0, 1<<53 - 1}
+		for _, th := range []uint64{q.a, q.ab, q.abc} {
+			draws = append(draws, th-1, th, th+1)
+		}
+		for range 10000 {
+			draws = append(draws, r.Uint64()>>11)
+		}
+		for _, k := range draws {
+			k &= 1<<53 - 1
+			u, v := q.pick(k)
+			if wu, wv := float(k, a, b, c); u != wu || v != wv {
+				t.Fatalf("partition %v, k=%d: integer quadrant (%d,%d), float (%d,%d)", p, k, u, v, wu, wv)
+			}
+		}
 	}
 }

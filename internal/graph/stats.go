@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DegreeStats summarizes a graph's out-degree distribution.
@@ -47,7 +47,7 @@ func ComputeDegreeStats(g *CSR) DegreeStats {
 		}
 	}
 	s.Mean = float64(sum) / float64(n)
-	sort.Ints(degs)
+	slices.Sort(degs)
 	s.Median = degs[n/2]
 
 	// Gini over the sorted degree sequence.

@@ -278,27 +278,25 @@ func AllBenchmarks() []Benchmark {
 	return out
 }
 
-// graphEntry memoizes one build (or transpose) with per-key singleflight
-// semantics: the map lock is held only for entry lookup, so concurrent
-// requests for distinct graphs build in parallel while duplicates share
-// one build.
+// graphEntry memoizes one build with per-key singleflight semantics: the
+// map lock is held only for entry lookup, so concurrent requests for
+// distinct graphs build in parallel while duplicates share one build.
 type graphEntry struct {
 	once sync.Once
 	g    *graph.CSR
 	err  error
 }
 
-// graphCache memoizes generated graphs (and transposes) across the many
-// benchmark runs of the experiment harness. It is safe for concurrent
-// use — the parallel experiment scheduler generates traces from many
-// goroutines at once.
+// graphCache memoizes generated graphs across the many benchmark runs of
+// the experiment harness. It is safe for concurrent use — the parallel
+// experiment scheduler generates traces from many goroutines at once.
+// Every registry dataset is symmetrized, so each is its own transpose
+// (graph.CSR.Transpose returns the receiver) and no transpose is cached.
 var graphCache = struct {
 	sync.Mutex
-	graphs     map[string]*graphEntry
-	transposes map[*graph.CSR]*graphEntry
+	graphs map[string]*graphEntry
 }{
-	graphs:     make(map[string]*graphEntry),
-	transposes: make(map[*graph.CSR]*graphEntry),
+	graphs: make(map[string]*graphEntry),
 }
 
 // Graph returns the (cached) proxy graph for the dataset at scale.
@@ -317,18 +315,6 @@ func Graph(dataset string, sc Scale, weighted bool) (*graph.CSR, error) {
 	graphCache.Unlock()
 	e.once.Do(func() { e.g, e.err = d.Build(sc, weighted) })
 	return e.g, e.err
-}
-
-func transposeOf(g *graph.CSR) *graph.CSR {
-	graphCache.Lock()
-	e, ok := graphCache.transposes[g]
-	if !ok {
-		e = &graphEntry{}
-		graphCache.transposes[g] = e
-	}
-	graphCache.Unlock()
-	e.once.Do(func() { e.g = g.Transpose() })
-	return e.g
 }
 
 // traceInputs resolves the shared inputs of GenerateTrace and
@@ -365,7 +351,7 @@ func GenerateTrace(b Benchmark, sc Scale, cores int) (*trace.Trace, error) {
 	}
 	switch b.Algo {
 	case PR:
-		tr, _ := trace.PageRank(g, transposeOf(g), opt)
+		tr, _ := trace.PageRank(g, g.Transpose(), opt)
 		return tr, nil
 	case BFS:
 		tr, _ := trace.BFS(g, src, opt)
@@ -395,7 +381,7 @@ func GenerateStream(b Benchmark, sc Scale, cores int, cfg trace.StreamConfig) (*
 	}
 	switch b.Algo {
 	case PR:
-		return trace.StreamPageRank(g, transposeOf(g), opt, cfg), nil
+		return trace.StreamPageRank(g, g.Transpose(), opt, cfg), nil
 	case BFS:
 		return trace.StreamBFS(g, src, opt, cfg), nil
 	case SSSP:

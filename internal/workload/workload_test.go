@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"sync"
 	"testing"
 
@@ -73,6 +76,39 @@ func TestDatasetShapes(t *testing.T) {
 	st := graph.ComputeDegreeStats(road)
 	if st.Mean > 6 {
 		t.Errorf("road mean degree = %.1f, want mesh-like", st.Mean)
+	}
+}
+
+// TestDatasetCSRDigests pins the SHA-256 of every registry dataset's
+// unweighted quick-scale CSR (its offsets, then its neighbor IDs, both
+// little-endian), so any drift in how an unweighted graph is generated or
+// built fails here.
+func TestDatasetCSRDigests(t *testing.T) {
+	want := map[string]string{
+		"kron":        "028bebf51ca3805418b0bb2a0c5736b0ad859ba92ddc98c37ee383bc8acc1c3c",
+		"urand":       "99e4d388380f65113f759c69a896e845087702335b589157909448eff9ffec43",
+		"orkut":       "a577c730adb0219bbbd6545b6ffcf6984ad2b267979acc40512550f8d3b81369",
+		"livejournal": "ed2f91817b206ae226398888b603da6e6a3c872eb6fc638396a59fc34f3a91bc",
+		"road":        "47c986dda331775fe0305bf9d77d6ce3b6614664a76ea423f999a2e1e9c319a9",
+	}
+	for _, d := range Datasets {
+		g, err := Graph(d.Name, Quick, false)
+		if err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
+		h := sha256.New()
+		if err := binary.Write(h, binary.LittleEndian, g.Offsets()); err != nil {
+			t.Fatal(err)
+		}
+		if err := binary.Write(h, binary.LittleEndian, g.NeighborIDs()); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[d.Name] {
+			t.Errorf("%s: quick CSR digest %s, want %s", d.Name, got, want[d.Name])
+		}
+		if g.Transpose() != g {
+			t.Errorf("%s: registry graph is not its own transpose", d.Name)
+		}
 	}
 }
 
