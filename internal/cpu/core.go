@@ -11,7 +11,6 @@ package cpu
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"droplet/internal/mem"
@@ -56,7 +55,8 @@ type WarmPort interface {
 
 // EventSource feeds a core its event stream in batches. Next returns the
 // next non-empty batch, recycling the previous one, and nil at end of
-// stream (trace.CoreSource is the canonical implementation).
+// stream. trace.CoreSource serves a streamed trace in bounded batches;
+// trace.SliceSource serves a materialized one as a single batch.
 type EventSource interface {
 	Next(recycle []trace.Event) []trace.Event
 }
@@ -164,9 +164,8 @@ type robEntry struct {
 	retire int64
 }
 
-// Core simulates one core consuming its event stream — either a fully
-// materialized slice (NewCore) or a bounded-window EventSource
-// (NewStreamingCore), pulled one batch at a time.
+// Core simulates one core consuming its event stream from an
+// EventSource, pulled one batch at a time (see New).
 type Core struct {
 	id     int
 	cfg    Config
@@ -174,17 +173,15 @@ type Core struct {
 	stream []trace.Event
 	pos    int
 
-	// src is the batch source in streaming mode (nil when materialized);
-	// base is the absolute stream index of stream[0]. The refill
-	// invariant: whenever pos == len(stream) and src != nil, the next
-	// batch is pulled immediately, so Done/AtBarrier never need to know
-	// about batching.
+	// src is the batch source; base is the absolute stream index of
+	// stream[0]. The refill invariant: whenever pos == len(stream), the
+	// next batch is pulled immediately, so Done/AtBarrier never need to
+	// know about batching.
 	src  EventSource
 	base int64
-	// caMask folds absolute event indices into completeAt. Materialized
-	// cores use the identity mask (-1: idx & -1 == idx); streaming cores
-	// use a power-of-two ring whose size bounds the representable
-	// dependency distance (depLimit), checked at every dependent access.
+	// caMask folds absolute event indices into completeAt, a power-of-two
+	// ring whose size bounds the representable dependency distance
+	// (depLimit), checked at every dependent access.
 	caMask   int64
 	depLimit int64
 	// warm is the port's functional-warming interface, resolved once at
@@ -202,7 +199,7 @@ type Core struct {
 	ffPace float64
 	ffDebt float64
 
-	completeAt []int64 // completion time per event index (dep targets)
+	completeAt []int64 // completion-time ring, indexed by event index & caMask (dep targets)
 	// widthShift is log2(DispatchWidth) when it is a power of two, else
 	// -1; dispatchCycle runs once or more per event, so the division is
 	// worth replacing with a shift for the common 4-wide config.
@@ -300,66 +297,69 @@ func (q *minQueue) prune(now int64) {
 	}
 }
 
-// NewCore builds a core over a materialized stream; invalid configs
-// panic.
-func NewCore(id int, cfg Config, port MemPort, stream []trace.Event) *Core {
-	c := newCore(id, cfg, port)
-	c.stream = stream
-	c.completeAt = make([]int64, len(stream))
-	c.caMask = -1 // identity: idx & -1 == idx
-	c.depLimit = math.MaxInt64
-	return c
-}
-
-// DefaultDepRingEvents sizes the streaming completion ring (and so the
-// maximum representable load-dependency distance). CC's hooking phase
-// keeps one producer load live across a vertex's whole edge loop (~4
-// events per edge), so the ring must cover ~4× the maximum degree; 2M
-// events (16 MiB per core) covers degrees well past the largest
-// synthetic graphs while staying far below the materialized footprint.
-const DefaultDepRingEvents = 1 << 21
-
-// NewStreamingCore builds a core that pulls its stream from src in
-// bounded batches. ringEvents bounds the load-dependency distance (the
-// completion ring size, rounded up to a power of two; <= 0 picks
-// DefaultDepRingEvents). A dependency reaching further back than the
-// ring panics rather than silently reading an overwritten slot.
-func NewStreamingCore(id int, cfg Config, port MemPort, src EventSource, ringEvents int) *Core {
-	if ringEvents <= 0 {
-		ringEvents = DefaultDepRingEvents
-	}
-	ring := 1
-	for ring < ringEvents {
-		ring <<= 1
-	}
-	c := newCore(id, cfg, port)
-	c.src = src
-	c.completeAt = make([]int64, ring)
-	c.caMask = int64(ring - 1)
-	c.depLimit = int64(ring)
-	c.refill()
-	return c
-}
-
-func newCore(id int, cfg Config, port MemPort) *Core {
+// New builds core id over port, pulling its event stream from src.
+// span bounds the distance from any event back to its producer — the
+// source's dependency span, trace.Trace.DepSpan or trace.Stream.DepSpan.
+// The completion ring gets the smallest power of two at or above span
+// slots (one for a span of 0), and it resolves every dependency up to
+// the ring's size back; one reaching further panics rather than reading
+// an overwritten slot. The core pulls its first batch before New
+// returns. Invalid configs panic.
+func New(id int, cfg Config, port MemPort, src EventSource, span int) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	ring := 1
+	for ring < span {
+		ring <<= 1
 	}
 	widthShift := -1
 	if w := cfg.DispatchWidth; w&(w-1) == 0 {
 		widthShift = bits.TrailingZeros64(uint64(w))
 	}
 	warm, _ := port.(WarmPort)
-	return &Core{
+	c := &Core{
 		id:         id,
 		cfg:        cfg,
 		port:       port,
+		src:        src,
+		caMask:     int64(ring - 1),
+		depLimit:   int64(ring),
 		warm:       warm,
+		completeAt: make([]int64, ring),
 		widthShift: widthShift,
 		loadQ:      newMinQueue(cfg.LoadQueue),
 		storeQ:     newMinQueue(cfg.StoreQueue),
 		dramQ:      newMinQueue(cfg.LoadQueue),
 	}
+	c.refill()
+	return c
+}
+
+// NewCore builds a core over a materialized stream whose dependencies
+// may reach anywhere back in it: New over the slice as one batch, with
+// a ring that covers the whole slice. A caller that knows the stream's
+// span should call New with it instead.
+func NewCore(id int, cfg Config, port MemPort, stream []trace.Event) *Core {
+	src := trace.SliceSource(stream)
+	return New(id, cfg, port, &src, len(stream))
+}
+
+// DefaultDepRingEvents is the completion ring NewStreamingCore falls
+// back to when its caller passes no span (ringEvents <= 0): 2M events,
+// 16 MiB per core, enough for CC on degrees well past the largest
+// synthetic graphs. Callers that know their source's span pass it to New
+// and get a ring of that size instead.
+const DefaultDepRingEvents = 1 << 21
+
+// NewStreamingCore builds a core that pulls its stream from src in
+// bounded batches: New with span ringEvents, or DefaultDepRingEvents when
+// ringEvents <= 0.
+func NewStreamingCore(id int, cfg Config, port MemPort, src EventSource, ringEvents int) *Core {
+	if ringEvents <= 0 {
+		ringEvents = DefaultDepRingEvents
+	}
+	return New(id, cfg, port, src, ringEvents)
 }
 
 // refill pulls the next batch, recycling the finished one. On EOF the
@@ -400,7 +400,7 @@ func (c *Core) PassBarrier(t int64) {
 	ev := c.stream[c.pos]
 	c.dispatchCompute(int64(ev.Comp))
 	c.pos++
-	if c.src != nil && c.pos == len(c.stream) {
+	if c.pos == len(c.stream) {
 		c.refill()
 	}
 	if t*int64(c.cfg.DispatchWidth) > c.slots {
@@ -437,6 +437,7 @@ func (c *Core) dispatchCompute(n int64) {
 
 // Step processes the next event. It must not be called when Done or
 // AtBarrier.
+//
 //droplet:hotpath
 func (c *Core) Step() {
 	ev := c.stream[c.pos]
@@ -478,7 +479,7 @@ func (c *Core) Step() {
 		// load's value (Observation #2's serialization).
 		if ev.Dep >= 0 {
 			if idx-int64(ev.Dep) > c.depLimit {
-				panic("cpu: load dependency distance exceeds the streaming completion ring")
+				panic("cpu: load dependency distance exceeds the completion ring")
 			}
 			if dep := c.completeAt[int64(ev.Dep)&c.caMask]; dep > issue {
 				issue = dep
@@ -531,7 +532,7 @@ func (c *Core) Step() {
 		issue := dispatch
 		if ev.Dep >= 0 {
 			if idx-int64(ev.Dep) > c.depLimit {
-				panic("cpu: store dependency distance exceeds the streaming completion ring")
+				panic("cpu: store dependency distance exceeds the completion ring")
 			}
 			if dep := c.completeAt[int64(ev.Dep)&c.caMask]; dep > issue {
 				issue = dep
@@ -557,7 +558,7 @@ func (c *Core) Step() {
 	if c.lastRetire > c.stats.Cycles {
 		c.stats.Cycles = c.lastRetire
 	}
-	if c.src != nil && c.pos == len(c.stream) {
+	if c.pos == len(c.stream) {
 		c.refill()
 	}
 }
@@ -585,6 +586,7 @@ func (c *Core) SetFastPace(cpi float64) {
 // whole advance lands in the cycle stack's base component, which
 // sampling discards; only measured epochs contribute timing. Must not be
 // called when Done or AtBarrier.
+//
 //droplet:hotpath
 func (c *Core) StepFast(warm bool) {
 	ev := c.stream[c.pos]
@@ -625,7 +627,7 @@ func (c *Core) StepFast(warm bool) {
 	if c.lastRetire > c.stats.Cycles {
 		c.stats.Cycles = c.lastRetire
 	}
-	if c.src != nil && c.pos == len(c.stream) {
+	if c.pos == len(c.stream) {
 		c.refill()
 	}
 }

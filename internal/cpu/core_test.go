@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -376,6 +377,59 @@ func TestClockMonotoneAcrossBarriers(t *testing.T) {
 			t.Fatalf("clock went backwards: %d -> %d", prev, clk)
 		} else {
 			prev = clk
+		}
+	}
+}
+
+// TestRingSpanGuard pins the completion ring's reach: New sizes the ring
+// to the smallest power of two at or above the span, a consumer exactly
+// the ring's size after its producer still waits for it, and one event
+// further trips the guard, for loads and stores alike.
+func TestRingSpanGuard(t *testing.T) {
+	// A slow producer load, dist-1 fast fillers, then a consumer of kind
+	// reading the producer's completion dist events back.
+	stream := func(dist int, kind trace.Kind) []trace.Event {
+		evs := []trace.Event{load(0, mem.Structure, trace.NoDep, 0)}
+		for i := 1; i < dist; i++ {
+			evs = append(evs, load(mem.Addr(64*i), mem.Intermediate, trace.NoDep, 0))
+		}
+		return append(evs, trace.Event{Addr: 1 << 20, Dep: 0, Kind: kind, DType: mem.Property})
+	}
+	newCore := func(port *fixedPort, evs []trace.Event, span int) *Core {
+		src := trace.SliceSource(evs)
+		return New(0, DefaultConfig(), port, &src, span)
+	}
+	drain := func(c *Core) {
+		for !c.Done() {
+			c.Step()
+		}
+	}
+	for _, consumer := range []struct {
+		kind  trace.Kind
+		guard string
+	}{{trace.KindLoad, "load"}, {trace.KindStore, "store"}} {
+		kind, guard := consumer.kind, consumer.guard
+		for _, tc := range []struct{ span, ring int }{{0, 1}, {1, 1}, {3, 4}, {4, 4}, {5, 8}} {
+			port := &fixedPort{latency: map[mem.DataType]int64{mem.Structure: 300}}
+			c := newCore(port, stream(tc.ring, kind), tc.span)
+			if got := len(c.completeAt); got != tc.ring {
+				t.Errorf("%s span %d: ring of %d slots, want %d", guard, tc.span, got, tc.ring)
+			}
+			drain(c)
+			if got, want := port.issues[len(port.issues)-1], port.issues[0]+300; got < want {
+				t.Errorf("%s span %d: consumer %d back issued at %d, before its producer completes at %d",
+					guard, tc.span, tc.ring, got, want)
+			}
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, guard+" dependency distance exceeds") {
+						t.Errorf("%s span %d: dependency %d back gave panic %q, want the %s guard",
+							guard, tc.span, tc.ring+1, msg, guard)
+					}
+				}()
+				drain(newCore(&fixedPort{}, stream(tc.ring+1, kind), tc.span))
+			}()
 		}
 	}
 }

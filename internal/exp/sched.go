@@ -3,8 +3,10 @@ package exp
 import (
 	"context"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 
 	"droplet/internal/core"
@@ -138,7 +140,7 @@ func (s *Suite) doKey(ctx context.Context, key string, fn func(context.Context) 
 // flights are not cached: a later caller may retry (e.g. after a
 // transient trace-generation failure or a cancelled execution).
 func (s *Suite) runFlight(ctx context.Context, f *flight, key string, fn func(context.Context) (any, error)) {
-	val, err := fn(ctx)
+	val, err := contained(ctx, key, fn)
 	s.mu.Lock()
 	f.val, f.err = val, err
 	f.settled = true
@@ -152,6 +154,21 @@ func (s *Suite) runFlight(ctx context.Context, f *flight, key string, fn func(co
 	if f.cancel != nil {
 		f.cancel()
 	}
+}
+
+// contained runs fn, turning a panic into its error. Several model
+// invariants panic on purpose; contained here, one simulation that trips
+// one fails with an error naming its key and the panic value (the stack
+// goes to the standard logger) instead of killing every other
+// simulation in the process.
+func contained(ctx context.Context, key string, fn func(context.Context) (any, error)) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("exp: %s panicked: %v\n%s", key, r, debug.Stack())
+			val, err = nil, fmt.Errorf("exp: %s panicked: %v", key, r)
+		}
+	}()
+	return fn(ctx)
 }
 
 // wait blocks until f settles or ctx is cancelled, maintaining the
@@ -327,19 +344,41 @@ func (s *Suite) acquireTrace(b workload.Benchmark, sc workload.Scale, cores int)
 	s.traces[key] = e
 	s.traceMu.Unlock()
 
-	e.tr, e.err = workload.GenerateTrace(b, sc, cores)
-	close(e.ready)
-	if e.err != nil {
-		s.traceMu.Lock()
-		if cur, ok := s.traces[key]; ok && cur == e {
-			delete(s.traces, key)
-		}
-		e.refs--
-		s.traceCond.Broadcast()
-		s.traceMu.Unlock()
-		return nil, nil, e.err
+	generate := s.generateTrace
+	if generate == nil {
+		generate = workload.GenerateTrace
 	}
-	return e.tr, e, nil
+	defer func() {
+		// A panicking generation still settles the entry, so waiters
+		// and later acquires of the key never block on it.
+		if r := recover(); r != nil {
+			s.dropTrace(key, e, fmt.Errorf("exp: generating trace %s panicked: %v", key, r))
+			panic(r)
+		}
+	}()
+	tr, err := generate(b, sc, cores)
+	if err != nil {
+		s.dropTrace(key, e, err)
+		return nil, nil, err
+	}
+	e.tr = tr
+	close(e.ready)
+	return tr, e, nil
+}
+
+// dropTrace settles an entry whose generation produced no trace: its
+// waiters wake to err, and the entry leaves the table so the next
+// acquire of the key generates afresh.
+func (s *Suite) dropTrace(key string, e *traceEntry, err error) {
+	e.err = err
+	close(e.ready)
+	s.traceMu.Lock()
+	if cur, ok := s.traces[key]; ok && cur == e {
+		delete(s.traces, key)
+	}
+	e.refs--
+	s.traceCond.Broadcast()
+	s.traceMu.Unlock()
 }
 
 // releaseTrace unpins an acquired entry; fully idle traces stay cached

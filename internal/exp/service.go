@@ -49,7 +49,8 @@ func (s *Suite) SimResult(ctx context.Context, q simreq.Request) (*sim.Result, e
 // cache: the caller wants the epoch stream, not the digest, and the
 // observer is proven non-perturbing (the returned result is
 // bit-identical to SimResult's for the same hash). Callers that need
-// dedup of concurrent identical streams layer it above this method.
+// dedup of concurrent identical streams layer it above this method. A
+// panic in the replay comes back as an error, as it does from a flight.
 func (s *Suite) SimTelemetry(ctx context.Context, q simreq.Request, sink telemetry.Sink) (*sim.Result, error) {
 	rv, err := q.Resolve()
 	if err != nil {
@@ -58,14 +59,24 @@ func (s *Suite) SimTelemetry(ctx context.Context, q simreq.Request, sink telemet
 	if rv.Variant != "" {
 		return nil, fmt.Errorf("exp: variant %q is not servable: named machine variants exist only inside experiment tables", rv.Variant)
 	}
-	tr, entry, err := s.acquireTrace(rv.Benchmark, rv.Scale, rv.Cores)
+	hash, err := rv.Request().Hash()
 	if err != nil {
 		return nil, err
 	}
-	defer s.releaseTrace(entry)
-	cfg, opts := MachineOf(rv)
-	opts.Observer = telemetry.NewCollector(sink, metaOf(rv))
-	return sim.Simulate(ctx, tr, cfg, opts)
+	val, err := contained(ctx, "telemetry "+hash, func(ctx context.Context) (any, error) {
+		tr, entry, err := s.acquireTrace(rv.Benchmark, rv.Scale, rv.Cores)
+		if err != nil {
+			return nil, err
+		}
+		defer s.releaseTrace(entry)
+		cfg, opts := MachineOf(rv)
+		opts.Observer = telemetry.NewCollector(sink, metaOf(rv))
+		return sim.Simulate(ctx, tr, cfg, opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return val.(*sim.Result), nil
 }
 
 // PinnedTraceRefs reports the total number of outstanding trace pins —

@@ -110,6 +110,9 @@ type Suite struct {
 	traceMu   sync.Mutex
 	traceCond *sync.Cond
 	traces    map[string]*traceEntry
+	// generateTrace builds a benchmark trace (nil: workload.GenerateTrace);
+	// tests swap in failing generators.
+	generateTrace func(workload.Benchmark, workload.Scale, int) (*trace.Trace, error)
 }
 
 // NewSuite returns an empty suite at the given scale with Jobs set to

@@ -69,6 +69,30 @@ func TestSimulateBadRequest(t *testing.T) {
 	}
 }
 
+// TestSimulateTrailingData checks that a body with anything after the
+// request object is a 400 before any simulation: trailing garbage, a
+// stray bracket, or a second object carrying an unknown field.
+func TestSimulateTrailingData(t *testing.T) {
+	srv, _ := newTestServer(t)
+	bodies := []string{
+		`{"benchmark":"PR-kron"}garbage`,
+		`{"benchmark":"PR-kron"}]`,
+		`{"benchmark":"PR-kron"} {"benchmark":"BFS-road","bogus":1}`,
+	}
+	for _, body := range bodies {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate", strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("POST %s: status = %d, want 400: %s", body, rec.Code, rec.Body.String())
+		}
+	}
+	m := srv.MetricsSnapshot()
+	if m["bad_requests_total"] != int64(len(bodies)) || m["simulations_total"] != 0 {
+		t.Errorf("bad_requests_total = %d, simulations_total = %d; want %d and 0",
+			m["bad_requests_total"], m["simulations_total"], len(bodies))
+	}
+}
+
 // TestSimulateInvalidSampling checks that a sampling block the
 // simulator would reject is a 400 naming the sampling field, caught
 // before any trace is built or simulation counted.

@@ -50,13 +50,38 @@ func driveReference(cores []*cpu.Core) {
 // with driveReference.
 func runReference(tr *trace.Trace, cfg Config) (*Result, error) {
 	h, att, cores, err := build(cfg, tr.Layout, func(i int, port cpu.MemPort) *cpu.Core {
-		return cpu.NewCore(i, cfg.CPU, port, tr.PerCore[i])
+		return cpu.New(i, cfg.CPU, port, tr.Source(i), tr.DepSpan)
 	})
 	if err != nil {
 		return nil, err
 	}
 	driveReference(cores)
 	return collect(cfg, h, att, cores), nil
+}
+
+// requireSameResult fails t unless got matches ref bit for bit: cycles,
+// instructions, per-core counters, and hierarchy, DRAM and LLC
+// statistics.
+func requireSameResult(t *testing.T, got, ref *Result) {
+	t.Helper()
+	if got.Cycles != ref.Cycles {
+		t.Errorf("cycles: %d, reference %d", got.Cycles, ref.Cycles)
+	}
+	if got.Instructions != ref.Instructions {
+		t.Errorf("instructions: %d, reference %d", got.Instructions, ref.Instructions)
+	}
+	if !reflect.DeepEqual(got.CoreStats, ref.CoreStats) {
+		t.Errorf("per-core stats diverge:\ngot       %+v\nreference %+v", got.CoreStats, ref.CoreStats)
+	}
+	if !reflect.DeepEqual(*got.Hier.Stats(), *ref.Hier.Stats()) {
+		t.Errorf("hierarchy stats diverge:\ngot       %+v\nreference %+v", *got.Hier.Stats(), *ref.Hier.Stats())
+	}
+	if !reflect.DeepEqual(*got.Hier.MC().Stats(), *ref.Hier.MC().Stats()) {
+		t.Errorf("DRAM stats diverge:\ngot       %+v\nreference %+v", *got.Hier.MC().Stats(), *ref.Hier.MC().Stats())
+	}
+	if !reflect.DeepEqual(*got.Hier.LLC().Stats(), *ref.Hier.LLC().Stats()) {
+		t.Errorf("LLC stats diverge:\ngot       %+v\nreference %+v", *got.Hier.LLC().Stats(), *ref.Hier.LLC().Stats())
+	}
 }
 
 // TestQuantumDriverMatchesReference pins the drive loop to the per-event
@@ -128,24 +153,7 @@ func TestQuantumDriverMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.Cycles != ref.Cycles {
-							t.Errorf("cycles: %d, reference %d", got.Cycles, ref.Cycles)
-						}
-						if got.Instructions != ref.Instructions {
-							t.Errorf("instructions: %d, reference %d", got.Instructions, ref.Instructions)
-						}
-						if !reflect.DeepEqual(got.CoreStats, ref.CoreStats) {
-							t.Errorf("per-core stats diverge:\ngot       %+v\nreference %+v", got.CoreStats, ref.CoreStats)
-						}
-						if !reflect.DeepEqual(*got.Hier.Stats(), *ref.Hier.Stats()) {
-							t.Errorf("hierarchy stats diverge:\ngot       %+v\nreference %+v", *got.Hier.Stats(), *ref.Hier.Stats())
-						}
-						if !reflect.DeepEqual(*got.Hier.MC().Stats(), *ref.Hier.MC().Stats()) {
-							t.Errorf("DRAM stats diverge:\ngot       %+v\nreference %+v", *got.Hier.MC().Stats(), *ref.Hier.MC().Stats())
-						}
-						if !reflect.DeepEqual(*got.Hier.LLC().Stats(), *ref.Hier.LLC().Stats()) {
-							t.Errorf("LLC stats diverge:\ngot       %+v\nreference %+v", *got.Hier.LLC().Stats(), *ref.Hier.LLC().Stats())
-						}
+						requireSameResult(t, got, ref)
 					})
 				}
 			})

@@ -141,7 +141,7 @@ func Simulate(ctx context.Context, tr *trace.Trace, cfg Config, opts Options) (*
 		return nil, fmt.Errorf("sim: machine has %d cores but trace has %d streams", cfg.Cores, tr.NumCores())
 	}
 	h, att, cores, err := build(cfg, tr.Layout, func(i int, port cpu.MemPort) *cpu.Core {
-		return cpu.NewCore(i, cfg.CPU, port, tr.PerCore[i])
+		return cpu.New(i, cfg.CPU, port, tr.Source(i), tr.DepSpan)
 	})
 	if err != nil {
 		return nil, err
@@ -152,8 +152,7 @@ func Simulate(ctx context.Context, tr *trace.Trace, cfg Config, opts Options) (*
 // SimulateStream runs the pull-based trace generator st on a machine
 // built from cfg — the streaming twin of Simulate. The stream is started
 // (idempotently) and torn down on every exit path; peak trace memory is
-// the per-core window plus the dependency completion ring instead of the
-// full event trace.
+// the per-core window instead of the full event trace.
 func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Options) (*Result, error) {
 	defer st.Stop() // a no-op unless the stream was started
 	if err := opts.validate(); err != nil {
@@ -164,7 +163,7 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Opti
 	}
 	h, att, cores, err := build(cfg, st.Layout(), func(i int, port cpu.MemPort) *cpu.Core {
 		st.Start() // a streaming core pulls its first batch when built
-		return cpu.NewStreamingCore(i, cfg.CPU, port, st.Source(i), 0)
+		return cpu.New(i, cfg.CPU, port, st.Source(i), st.DepSpan())
 	})
 	if err != nil {
 		return nil, err
@@ -174,7 +173,10 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Opti
 
 // build assembles the machine cfg describes over the address-space
 // layout lay: the memory hierarchy, the prefetch attachment, and one
-// core per stream, which newCore builds over the hierarchy's port.
+// core per stream, which newCore builds over the hierarchy's port. Both
+// trace modes build each core with cpu.New from the trace's per-core
+// source and its dependency span, so every completion ring is as small
+// as the kernel's longest producer-to-consumer link allows.
 func build(cfg Config, lay *trace.Layout, newCore func(i int, port cpu.MemPort) *cpu.Core) (*memsys.Hierarchy, *core.Attachment, []*cpu.Core, error) {
 	h, err := memsys.New(cfg.memConfig(), lay.AS)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"droplet/internal/core"
+	"droplet/internal/cpu"
 	"droplet/internal/telemetry"
 	"droplet/internal/trace"
 	"droplet/internal/workload"
@@ -23,11 +24,30 @@ func quickEquivCfg() Config {
 	return cfg
 }
 
+// runLookback simulates tr on cores built by cpu.NewCore, whose
+// completion ring covers each core's whole slice: the oracle for the
+// span-sized rings Simulate and SimulateStream build.
+func runLookback(tr *trace.Trace, cfg Config) (*Result, error) {
+	h, att, cores, err := build(cfg, tr.Layout, func(i int, port cpu.MemPort) *cpu.Core {
+		return cpu.NewCore(i, cfg.CPU, port, tr.PerCore[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := drive(context.Background(), cores, 0, nil, nil); err != nil {
+		return nil, err
+	}
+	return collect(cfg, h, att, cores), nil
+}
+
 // TestSimulateStreamMatchesRun drives one benchmark per kernel through
 // the materialized and the streaming path and requires bit-identical
 // summaries, and bit-identical epoch JSONL under DROPLET: the pull-based
 // generator must be a pure memory optimization, invisible to every
-// simulated statistic.
+// simulated statistic. Both paths size each core's completion ring from
+// the trace's dependency span, so both must also match the whole-slice
+// lookback exactly: a ring too short for a link would panic, and one
+// that read an overwritten slot would change the timing.
 func TestSimulateStreamMatchesRun(t *testing.T) {
 	cfg := quickEquivCfg()
 	for _, name := range []string{"PR-kron", "BFS-road", "CC-kron", "SSSP-road", "BC-orkut"} {
@@ -53,6 +73,13 @@ func TestSimulateStreamMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+
+			lookback, err := runLookback(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, want, lookback)
+			requireSameResult(t, got, lookback)
 
 			wantJSON, _ := json.Marshal(want.Summarize())
 			gotJSON, _ := json.Marshal(got.Summarize())

@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -265,16 +266,26 @@ func (r Request) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Decode reads one JSON request from rd strictly — unknown fields are
-// rejected, not ignored, so a misspelled field never silently falls
-// back to its default — and returns the normalized form. Syntax errors
-// come back as plain errors; content errors as FieldErrors.
+// Decode reads one JSON request from rd strictly and returns its
+// normalized form. Unknown fields are rejected, not ignored, so a
+// misspelled field never silently falls back to its default. The input
+// must hold exactly one JSON value: anything after it but whitespace —
+// garbage, a stray bracket, or a second object that would carry an
+// unknown field past that check unread — is a syntax error. Syntax
+// errors come back as plain errors; content errors as FieldErrors.
 func Decode(rd io.Reader) (Request, error) {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	var r Request
 	if err := dec.Decode(&r); err != nil {
 		return Request{}, fmt.Errorf("simreq: decoding request: %w", err)
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+	case err != nil:
+		return Request{}, fmt.Errorf("simreq: decoding request: after the request: %w", err)
+	default:
+		return Request{}, errors.New("simreq: decoding request: more than one JSON value")
 	}
 	return r.Normalize()
 }

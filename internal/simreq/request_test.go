@@ -124,6 +124,29 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
+// TestDecodeTrailingData checks that a body holding anything after the
+// request but whitespace is a syntax error, not a FieldErrors: trailing
+// garbage, a stray bracket, and a second object whose unknown field
+// would otherwise never be read.
+func TestDecodeTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"benchmark":"PR-kron"}garbage`,
+		`{"benchmark":"PR-kron"}]`,
+		`{"benchmark":"PR-kron"} {"benchmark":"BFS-road","bogus":1}`,
+	} {
+		_, err := Decode(strings.NewReader(body))
+		var fe FieldErrors
+		if err == nil || errors.As(err, &fe) {
+			t.Errorf("Decode(%s) = %v, want a syntax error", body, err)
+		}
+	}
+	for _, body := range []string{"{\"benchmark\":\"PR-kron\"}\n", " \t{\"benchmark\":\"PR-kron\"}\r\n "} {
+		if _, err := Decode(strings.NewReader(body)); err != nil {
+			t.Errorf("Decode(%q) rejected surrounding whitespace: %v", body, err)
+		}
+	}
+}
+
 // TestFieldErrors checks that every invalid field is reported, each
 // through the shared valid-name error format.
 func TestFieldErrors(t *testing.T) {

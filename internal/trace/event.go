@@ -48,10 +48,40 @@ type Trace struct {
 	// Truncated reports that the event budget was reached and the tail of
 	// the execution is not in the trace (the simulated ROI ended).
 	Truncated bool
+	// DepSpan is the longest producer-to-consumer distance in the trace:
+	// the maximum over every core's stream of i - Dep for each event i
+	// that has a producer. The simulator sizes each core's completion
+	// ring from it. Builder records it exactly; a hand-built trace must
+	// set it to at least its longest link, or the core's ring guard
+	// panics at the first dependency that reaches past it.
+	DepSpan int
 }
 
 // NumCores returns the number of per-core streams.
 func (t *Trace) NumCores() int { return len(t.PerCore) }
+
+// Source returns core c's stream as a one-batch event source. Every call
+// returns a fresh source over the shared slice, so one Trace can feed
+// any number of concurrent simulations.
+func (t *Trace) Source(c int) *SliceSource {
+	s := SliceSource(t.PerCore[c])
+	return &s
+}
+
+// SliceSource serves a materialized event slice as a single batch: the
+// first Next returns the whole slice (nil if it is empty) and every later
+// call nil. It never writes to the slice or to a recycled batch.
+type SliceSource []Event
+
+// Next implements the core's event-source contract.
+func (s *SliceSource) Next([]Event) []Event {
+	evs := *s
+	*s = nil
+	if len(evs) == 0 {
+		return nil
+	}
+	return evs
+}
 
 // Events returns the total number of stored events.
 func (t *Trace) Events() int64 {
@@ -67,9 +97,10 @@ func (t *Trace) Events() int64 {
 // bookkeeping lives in the shared acct so the streaming generator
 // truncates identically (see sink.go).
 type Builder struct {
-	layout *Layout
-	cores  [][]Event
-	a      acct
+	layout  *Layout
+	cores   [][]Event
+	a       acct
+	depSpan int // longest i - Dep emitted so far (Trace.DepSpan)
 }
 
 // NewBuilder returns a builder for numCores streams with the given total
@@ -100,8 +131,10 @@ func (b *Builder) Load(c int, addr mem.Addr, dt mem.DataType, dep int32) int32 {
 	if !ok {
 		return NoDep
 	}
+	idx := int32(len(b.cores[c]))
+	b.link(idx, dep)
 	b.cores[c] = append(b.cores[c], Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindLoad, DType: dt})
-	return int32(len(b.cores[c]) - 1)
+	return idx
 }
 
 // Store emits a store on core c. dep is the load producing the store
@@ -113,7 +146,15 @@ func (b *Builder) Store(c int, addr mem.Addr, dt mem.DataType, dep int32) {
 	if !ok {
 		return
 	}
+	b.link(int32(len(b.cores[c])), dep)
 	b.cores[c] = append(b.cores[c], Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindStore, DType: dt})
+}
+
+// link records the distance from event idx back to its producer dep.
+func (b *Builder) link(idx, dep int32) {
+	if dep >= 0 && int(idx-dep) > b.depSpan {
+		b.depSpan = int(idx - dep)
+	}
 }
 
 // Barrier emits a synchronization point into every core's stream, or
@@ -134,5 +175,6 @@ func (b *Builder) Build() *Trace {
 		PerCore:      b.cores,
 		Instructions: b.a.insts,
 		Truncated:    b.a.trunc,
+		DepSpan:      b.depSpan,
 	}
 }

@@ -92,7 +92,9 @@ func PageRank(g, tr *graph.CSR, opt Options) (*Trace, []float64) {
 func StreamPageRank(g, tr *graph.CSR, opt Options, cfg StreamConfig) *Stream {
 	opt = opt.withDefaults()
 	lay := newPRLayout(tr, g.NumVertices())
-	return newStream(lay.l, opt.Cores, opt.MaxEvents, cfg, func(b Sink) {
+	// The longest link is one event: offset→first structure entry and
+	// structure→contrib.
+	return newStream(lay.l, opt.Cores, opt.MaxEvents, 1, cfg, func(b Sink) {
 		emitPageRank(b, g, tr, lay, opt)
 	})
 }
@@ -202,7 +204,8 @@ func BFS(g *graph.CSR, source uint32, opt Options) (*Trace, []int64) {
 func StreamBFS(g *graph.CSR, source uint32, opt Options, cfg StreamConfig) *Stream {
 	opt = opt.withDefaults()
 	lay := newBFSLayout(g, g.NumVertices())
-	return newStream(lay.l, opt.Cores, opt.MaxEvents, cfg, func(b Sink) {
+	// The depth store follows its structure load by two events.
+	return newStream(lay.l, opt.Cores, opt.MaxEvents, 2, cfg, func(b Sink) {
 		emitBFS(b, g, source, lay, opt)
 	})
 }
@@ -295,7 +298,9 @@ func StreamSSSP(g *graph.CSR, source uint32, delta int64, opt Options, cfg Strea
 		panic("trace: SSSP requires a weighted graph")
 	}
 	lay := newSSSPLayout(g, g.NumVertices())
-	return newStream(lay.l, opt.Cores, opt.MaxEvents, cfg, func(b Sink) {
+	// The offset load and the dist store each follow their producer by
+	// two events.
+	return newStream(lay.l, opt.Cores, opt.MaxEvents, 2, cfg, func(b Sink) {
 		emitSSSP(b, g, source, delta, lay, opt)
 	})
 }
@@ -410,9 +415,23 @@ func CC(g *graph.CSR, opt Options) (*Trace, []uint32) {
 func StreamCC(g *graph.CSR, opt Options, cfg StreamConfig) *Stream {
 	opt = opt.withDefaults()
 	lay := newCCLayout(g, g.NumVertices())
-	return newStream(lay.l, opt.Cores, opt.MaxEvents, cfg, func(b Sink) {
+	return newStream(lay.l, opt.Cores, opt.MaxEvents, ccDepSpan(g), cfg, func(b Sink) {
 		emitCC(b, g, lay, opt)
 	})
+}
+
+// ccDepSpan bounds CC's producer-to-consumer distance. The hooking store
+// reuses u's own label load across u's whole edge loop: after that load
+// come the offset load and at most three events per edge (structure
+// load, label load, store), so the store on u's last edge lies at most
+// 3·deg(u)+1 events after it. Pointer jumping links events at most two
+// apart.
+func ccDepSpan(g *graph.CSR) int {
+	maxDeg := 0
+	for v := range g.NumVertices() {
+		maxDeg = max(maxDeg, g.Degree(uint32(v)))
+	}
+	return 3*maxDeg + 2
 }
 
 func emitCC(b Sink, g *graph.CSR, lay ccLayout, opt Options) []uint32 {
@@ -516,7 +535,8 @@ func BC(g *graph.CSR, sources []uint32, opt Options) (*Trace, []float64) {
 func StreamBC(g *graph.CSR, sources []uint32, opt Options, cfg StreamConfig) *Stream {
 	opt = opt.withDefaults()
 	lay := newBCLayout(g, g.NumVertices())
-	return newStream(lay.l, opt.Cores, opt.MaxEvents, cfg, func(b Sink) {
+	// The sigma store follows its structure load by four events.
+	return newStream(lay.l, opt.Cores, opt.MaxEvents, 4, cfg, func(b Sink) {
 		emitBC(b, g, sources, lay, opt)
 	})
 }

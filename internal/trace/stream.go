@@ -68,6 +68,7 @@ type Stream struct {
 	layout   *Layout
 	numCores int
 	budget   int64
+	depSpan  int
 	cfg      StreamConfig
 	run      func(Sink)
 	srcs     []*CoreSource
@@ -80,12 +81,14 @@ type Stream struct {
 
 // newStream wires a stream over the kernel re-run closure. run must be a
 // deterministic function of its captured inputs: it is executed once per
-// core, concurrently.
-func newStream(layout *Layout, numCores int, budget int64, cfg StreamConfig, run func(Sink)) *Stream {
+// core, concurrently. depSpan is the kernel's bound on the distance from
+// any event back to its producer (see DepSpan).
+func newStream(layout *Layout, numCores int, budget int64, depSpan int, cfg StreamConfig, run func(Sink)) *Stream {
 	s := &Stream{
 		layout:   layout,
 		numCores: numCores,
 		budget:   budget,
+		depSpan:  depSpan,
 		cfg:      cfg.withDefaults(),
 		run:      run,
 		srcs:     make([]*CoreSource, numCores),
@@ -109,6 +112,13 @@ func (s *Stream) Layout() *Layout { return s.layout }
 
 // NumCores returns the number of per-core event sources.
 func (s *Stream) NumCores() int { return s.numCores }
+
+// DepSpan returns the kernel's bound on the producer-to-consumer
+// distance (i - Dep) of any event in the stream: at least the DepSpan
+// the materialized trace of the same kernel and inputs records. Each
+// Stream constructor derives it from the kernel body before any producer
+// runs, so the simulator can size every core's completion ring up front.
+func (s *Stream) DepSpan() int { return s.depSpan }
 
 // WindowEvents returns the per-core window bound in events.
 func (s *Stream) WindowEvents() int { return s.cfg.WindowEvents() }
@@ -209,6 +219,7 @@ type CoreSource struct {
 // Next returns the next batch of events, recycling the previously
 // returned batch. It blocks until the producer fills the window and
 // returns nil at end of stream. Batches are never empty.
+//
 //droplet:hotpath
 func (cs *CoreSource) Next(recycle []Event) []Event {
 	if cap(recycle) != 0 {

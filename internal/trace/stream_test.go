@@ -138,7 +138,7 @@ func TestStreamTruncationMatchesBuilder(t *testing.T) {
 		t.Fatal("script did not exercise truncation")
 	}
 
-	st := newStream(nil, cores, budget, StreamConfig{BatchEvents: 64, Batches: 4},
+	st := newStream(nil, cores, budget, m.DepSpan, StreamConfig{BatchEvents: 64, Batches: 4},
 		func(b Sink) { runBudgetScript(b) })
 	got := drainStream(st)
 	compareStreams(t, m, got)
