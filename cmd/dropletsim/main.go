@@ -66,7 +66,8 @@ type runFlags struct {
 type cliFlags struct {
 	runFlags
 	matrix, benchmarks     string
-	pfSet                  bool // -prefetcher was given explicitly
+	pfSet                  bool     // -prefetcher was given explicitly
+	singleRun              []string // single-run-only flags given explicitly
 	jobs                   int
 	verbose                bool
 	outPath, telemDir      string
@@ -106,9 +107,18 @@ func parseFlags(args []string) cliFlags {
 	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&c.telemDir, "telemetry-dir", "", "stream per-simulation epoch JSONL files into this directory (-matrix mode)")
 	fs.Parse(args)
-	fs.Visit(func(f *flag.Flag) { c.pfSet = c.pfSet || f.Name == "prefetcher" })
+	fs.Visit(func(f *flag.Flag) {
+		c.pfSet = c.pfSet || f.Name == "prefetcher"
+		if slices.Contains(singleRunFlags, f.Name) {
+			c.singleRun = append(c.singleRun, "-"+f.Name)
+		}
+	})
 	return c
 }
+
+// singleRunFlags configure one simulation's input or output and have no
+// meaning for a table, so -matrix rejects them rather than ignore them.
+var singleRunFlags = []string{"llc", "stream", "graphfile", "json", "footprint", "telemetry", "telemetry-out"}
 
 func main() {
 	c := parseFlags(os.Args[1:])
@@ -234,20 +244,18 @@ func (rf runFlags) machine(rv simreq.Resolved) (sim.Config, sim.Options) {
 	return cfg, opts
 }
 
-// runMatrix regenerates the requested experiment tables on a suite
-// configured from the resolved flags. Table bytes are deterministic:
-// results come out of the suite cache in table order no matter how the
-// scheduler interleaved the simulations, so -jobs N output diffs clean
-// against -jobs 1 (the CI smoke job relies on this), with or without
-// sampling.
+// runMatrix regenerates the requested experiment tables on a suite whose
+// base machine is the resolved flags. Table bytes are deterministic:
+// every table comes back in table order no matter how the scheduler
+// interleaved the simulations, so -jobs N output diffs clean against
+// -jobs 1 (the CI smoke job relies on this), with or without sampling.
 func runMatrix(c cliFlags, rv simreq.Resolved, pfx []core.PrefetcherKind) error {
+	if len(c.singleRun) > 0 {
+		return fmt.Errorf("%s: single-run flags cannot be used with -matrix", strings.Join(c.singleRun, ", "))
+	}
 	s := exp.NewSuite(rv.Scale)
 	s.Jobs = c.jobs
-	s.Sample = rv.Sampling
-	s.EpochCycles = rv.EpochCycles
-	s.Replacement = rv.Replacement
-	s.ReplacementL1 = rv.ReplacementL1
-	s.ReplacementL2 = rv.ReplacementL2
+	s.Base = rv
 	s.Prefetchers = pfx
 	if c.telemDir != "" {
 		if err := os.MkdirAll(c.telemDir, 0o755); err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"droplet/internal/core"
@@ -100,5 +101,24 @@ func TestMatrixPrefetcherList(t *testing.T) {
 	}
 	if _, pfx, err = parseFlags([]string{"-matrix", "pfx"}).resolve(); err != nil || pfx != nil {
 		t.Errorf("default -prefetcher under -matrix: pfx %v, err %v; want no restriction", pfx, err)
+	}
+}
+
+// TestMatrixRejectsSingleRunFlags: a flag that configures only one
+// simulation's input or output is an error naming it under -matrix,
+// before any table runs, not silently ignored.
+func TestMatrixRejectsSingleRunFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-llc", "64"}, {"-stream"}, {"-graphfile", "g.el"}, {"-json"},
+		{"-footprint", "fp.json"}, {"-telemetry", "jsonl"}, {"-telemetry-out", "e.jsonl"},
+	} {
+		c := parseFlags(append([]string{"-matrix", "fig1"}, args...))
+		rv, pfx, err := c.resolve()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if err := runMatrix(c, rv, pfx); err == nil || !strings.HasPrefix(err.Error(), args[0]+":") {
+			t.Errorf("-matrix fig1 %v: error %v, want one naming %s", args, err, args[0])
+		}
 	}
 }

@@ -97,7 +97,7 @@ type Refill struct {
 	//droplet:addr byte
 	Addr mem.Addr
 	//droplet:addr byte
-	VAddr mem.Addr
+	VAddr    mem.Addr
 	CoreID   int
 	Prefetch bool
 	CBit     bool
@@ -218,6 +218,7 @@ func (mc *MemoryController) route(addr mem.Addr) (ch, bank int, row int64) {
 // Access schedules a request arriving at time now and returns its
 // completion time. Writes return their channel-issue time (the writer
 // does not wait for them).
+//
 //droplet:hotpath
 func (mc *MemoryController) Access(req Request, now int64) int64 {
 	ch, bank, row := mc.route(req.Addr)
@@ -365,6 +366,7 @@ func (mc *MemoryController) Access(req Request, now int64) int64 {
 // prefetch: the MC promotes the outstanding request to demand priority
 // (the C-bit's scheduling purpose), so the demand waits no longer than a
 // fresh demand read would take.
+//
 //droplet:addr addr byte
 func (mc *MemoryController) EstimateDemand(addr mem.Addr, now int64) int64 {
 	ch, bank, row := mc.route(addr)

@@ -6,6 +6,7 @@ import (
 
 	"droplet/internal/core"
 	"droplet/internal/mem"
+	"droplet/internal/sim"
 	"droplet/internal/workload"
 )
 
@@ -51,37 +52,22 @@ func RunAblation(s *Suite) (*Ablation, error) {
 	if s.Benchmarks != nil {
 		benches = s.Benchmarks
 	}
-	err := s.Warm(kindRequests(benches, core.NoPrefetch, core.DROPLET,
+	rs, err := grid[*sim.Result](s, benches, kindCols(core.NoPrefetch, core.DROPLET,
 		core.DROPLETDemandTriggered, core.MonoDROPLETL1, core.StreamMPP1))
 	if err != nil {
 		return nil, err
 	}
-	for _, b := range benches {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
+	for i, b := range benches {
+		base, drop, demand := rs[i][0], rs[i][1], rs[i][2]
+		row := AblationRow{
+			Bench:           b,
+			Droplet:         drop.Speedup(base),
+			DemandTriggered: demand.Speedup(base),
+			Monolithic:      rs[i][3].Speedup(base),
+			NotDataAware:    rs[i][4].Speedup(base),
 		}
-		row := AblationRow{Bench: b}
-		get := func(k core.PrefetcherKind) (float64, float64, error) {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return 0, 0, err
-			}
-			acc, _ := r.PrefetchAccuracy(mem.Property)
-			return r.Speedup(base), acc, nil
-		}
-		if row.Droplet, row.PropAccuracyDroplet, err = get(core.DROPLET); err != nil {
-			return nil, err
-		}
-		if row.DemandTriggered, row.PropAccuracyDemand, err = get(core.DROPLETDemandTriggered); err != nil {
-			return nil, err
-		}
-		if row.Monolithic, _, err = get(core.MonoDROPLETL1); err != nil {
-			return nil, err
-		}
-		if row.NotDataAware, _, err = get(core.StreamMPP1); err != nil {
-			return nil, err
-		}
+		row.PropAccuracyDroplet, _ = drop.PrefetchAccuracy(mem.Property)
+		row.PropAccuracyDemand, _ = demand.PrefetchAccuracy(mem.Property)
 		f.Rows = append(f.Rows, row)
 	}
 	return f, nil

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"droplet/internal/core"
+	"droplet/internal/sim"
 	"droplet/internal/workload"
 )
 
@@ -39,33 +40,20 @@ func RunAdaptive(s *Suite) (*Adaptive, error) {
 	if s.Benchmarks != nil {
 		benches = s.Benchmarks
 	}
-	err := s.Warm(kindRequests(benches, core.NoPrefetch, core.DROPLET,
+	rs, err := grid[*sim.Result](s, benches, kindCols(core.NoPrefetch, core.DROPLET,
 		core.StreamMPP1, core.DROPLETAdaptive))
 	if err != nil {
 		return nil, err
 	}
 	f := &Adaptive{}
-	for _, b := range benches {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
+	for i, b := range benches {
+		base, a := rs[i][0], rs[i][3]
+		row := AdaptiveRow{
+			Bench:      b,
+			Droplet:    rs[i][1].Speedup(base),
+			StreamMPP1: rs[i][2].Speedup(base),
+			Adaptive:   a.Speedup(base),
 		}
-		row := AdaptiveRow{Bench: b}
-		d, err := s.Result(b, core.DROPLET, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		row.Droplet = d.Speedup(base)
-		m, err := s.Result(b, core.StreamMPP1, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		row.StreamMPP1 = m.Speedup(base)
-		a, err := s.Result(b, core.DROPLETAdaptive, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		row.Adaptive = a.Speedup(base)
 		for _, ad := range a.Attachment.Adaptives {
 			row.Switches += ad.Switches
 		}

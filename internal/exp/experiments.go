@@ -9,6 +9,7 @@ import (
 	"droplet/internal/mem"
 	"droplet/internal/memsys"
 	"droplet/internal/sim"
+	"droplet/internal/trace"
 	"droplet/internal/workload"
 )
 
@@ -17,31 +18,65 @@ var fig11Kinds = []core.PrefetcherKind{
 	core.GHB, core.VLDP, core.Stream, core.StreamMPP1, core.DROPLET, core.MonoDROPLETL1,
 }
 
-// fig12Kinds are the configurations the zoom-in figures (12, 13, 14, 15)
-// compare.
-var fig12Kinds = []core.PrefetcherKind{
-	core.NoPrefetch, core.Stream, core.StreamMPP1, core.DROPLET,
+// fig12Kinds are the configurations the zoom-in figures (12, 13, 15)
+// compare; fig14Kinds drops nopf, which issues no prefetches to score.
+var (
+	fig12Kinds = []core.PrefetcherKind{core.NoPrefetch, core.Stream, core.StreamMPP1, core.DROPLET}
+	fig14Kinds = fig12Kinds[1:]
+)
+
+// kindCols is one baseline-machine column per prefetcher kind.
+func kindCols(kinds ...core.PrefetcherKind) []Request {
+	cols := make([]Request, len(kinds))
+	for i, k := range kinds {
+		cols[i] = Request{Kind: k}
+	}
+	return cols
 }
 
-// kindRequests enumerates the baseline-variant scheduler requests for
-// every benchmark × prefetcher pair.
-func kindRequests(benches []workload.Benchmark, kinds ...core.PrefetcherKind) []Request {
-	var reqs []Request
-	for _, b := range benches {
-		for _, k := range kinds {
-			reqs = append(reqs, Request{Bench: b, Kind: k})
+// meanByAlgo averages metric over each algorithm's benchmarks, per
+// prefetcher kind: algorithm → kind → mean, with rs[i][j] the result of
+// benches[i] under kinds[j]. A result whose metric reports false is left
+// out of its mean, and a kind with nothing to average has no entry. It
+// sums in benchmark order and then divides once, which fixes every bit
+// of the tables built on it.
+func meanByAlgo(benches []workload.Benchmark, kinds []core.PrefetcherKind, rs [][]*sim.Result, metric func(*sim.Result) (float64, bool)) map[string]map[string]float64 {
+	sums := make(map[string]map[string]float64)
+	counts := make(map[string]map[string]int)
+	for i, b := range benches {
+		algo := b.Algo.String()
+		if sums[algo] == nil {
+			sums[algo] = make(map[string]float64)
+			counts[algo] = make(map[string]int)
+		}
+		for j, k := range kinds {
+			if v, ok := metric(rs[i][j]); ok {
+				sums[algo][k.String()] += v
+				counts[algo][k.String()]++
+			}
 		}
 	}
-	return reqs
+	for _, algo := range sortedKeys(sums) {
+		for _, cfg := range sortedKeys(sums[algo]) {
+			sums[algo][cfg] /= float64(counts[algo][cfg])
+		}
+	}
+	return sums
 }
 
-// analyzeRequests enumerates dependency-analysis requests for benches.
-func analyzeRequests(benches []workload.Benchmark, rob int) []Request {
-	var reqs []Request
-	for _, b := range benches {
-		reqs = append(reqs, Request{Bench: b, Analyze: true, ROBSize: rob})
+// mergeByType stores each mean of one data type into slot i of dst's
+// per-type arrays (Figs. 13 and 14).
+func mergeByType[A ~[2]float64 | ~[mem.NumDataTypes]float64](dst map[string]map[string]A, mean map[string]map[string]float64, i int) {
+	for _, algo := range sortedKeys(mean) {
+		if dst[algo] == nil {
+			dst[algo] = make(map[string]A)
+		}
+		for _, cfg := range sortedKeys(mean[algo]) {
+			v := dst[algo][cfg]
+			v[i] = mean[algo][cfg]
+			dst[algo][cfg] = v
+		}
 	}
-	return reqs
 }
 
 // ---------------------------------------------------------------- Fig. 1
@@ -56,7 +91,7 @@ type Fig1 struct {
 // RunFig1 reproduces Fig. 1 (paper: ~45% DRAM-bound stalls, ~15% base).
 func RunFig1(s *Suite) (*Fig1, error) {
 	b := workload.Benchmark{Algo: workload.PR, Dataset: "orkut"}
-	r, err := s.Baseline(b)
+	r, err := s.Result(b, core.NoPrefetch, Variant{})
 	if err != nil {
 		return nil, err
 	}
@@ -105,24 +140,15 @@ var rob4x = Variant{Name: "rob4x", Mutate: func(c *sim.Config) {
 
 // RunFig3 reproduces Fig. 3 over all benchmarks.
 func RunFig3(s *Suite) (*Fig3, error) {
-	var reqs []Request
-	for _, b := range s.benchmarks() {
-		reqs = append(reqs, Request{Bench: b}, Request{Bench: b, Variant: rob4x})
-	}
-	if err := s.Warm(reqs); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, []Request{{}, {Variant: rob4x}})
+	if err != nil {
 		return nil, err
 	}
 	f := &Fig3{}
 	var bwSum, spSum float64
-	for _, b := range s.benchmarks() {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
-		big, err := s.Result(b, core.NoPrefetch, rob4x)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		base, big := rs[i][0], rs[i][1]
 		row := Fig3Row{
 			Bench:        b,
 			BWUtilBase:   base.BandwidthUtilization(),
@@ -196,17 +222,15 @@ type Fig4a struct {
 func RunFig4a(s *Suite) (*Fig4a, error) {
 	f := &Fig4a{}
 	benches := s.benchmarks()
-	var reqs []Request
-	for _, b := range benches {
-		for _, mult := range LLCMultipliers {
-			reqs = append(reqs, Request{Bench: b, Variant: llcVariant(mult)})
-		}
+	cols := make([]Request, len(LLCMultipliers))
+	for i, mult := range LLCMultipliers {
+		cols[i] = Request{Variant: llcVariant(mult)}
 	}
-	if err := s.Warm(reqs); err != nil {
+	rs, err := grid[*sim.Result](s, benches, cols)
+	if err != nil {
 		return nil, err
 	}
 	n := float64(len(benches))
-	// Iterate benchmark-major so each trace is generated once.
 	type acc struct {
 		mpki     float64
 		speedups []float64
@@ -214,16 +238,9 @@ func RunFig4a(s *Suite) (*Fig4a, error) {
 		off      [mem.NumDataTypes]float64
 	}
 	accs := make([]acc, len(LLCMultipliers))
-	for _, b := range benches {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
-		for i, mult := range LLCMultipliers {
-			r, err := s.Result(b, core.NoPrefetch, llcVariant(mult))
-			if err != nil {
-				return nil, err
-			}
+	for _, row := range rs {
+		base := row[0] // the ×1 column is the baseline machine
+		for i, r := range row {
 			accs[i].mpki += r.LLCMPKI()
 			sp := r.Speedup(base)
 			accs[i].speedups = append(accs[i].speedups, sp)
@@ -300,28 +317,19 @@ func RunFig4b(s *Suite) (*Fig4b, error) {
 
 	f := &Fig4b{}
 	benches := s.benchmarks()
-	var reqs []Request
-	for _, b := range benches {
-		for _, v := range variants {
-			reqs = append(reqs, Request{Bench: b, Variant: v})
-		}
+	cols := make([]Request, len(variants))
+	for i, v := range variants {
+		cols[i] = Request{Variant: v}
 	}
-	if err := s.Warm(reqs); err != nil {
+	rs, err := grid[*sim.Result](s, benches, cols)
+	if err != nil {
 		return nil, err
 	}
 	hitSums := make([]float64, len(variants))
 	speedups := make([][]float64, len(variants))
-	// Iterate benchmark-major so each trace is generated once.
-	for _, b := range benches {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range variants {
-			r, err := s.Result(b, core.NoPrefetch, v)
-			if err != nil {
-				return nil, err
-			}
+	for _, row := range rs {
+		base := row[1] // the baseline column
+		for i, r := range row {
 			hitSums[i] += r.L2HitRate()
 			speedups[i] = append(speedups[i], r.Speedup(base))
 		}
@@ -367,15 +375,14 @@ type Fig5 struct {
 // length 2.5) with the baseline 128-entry ROB window.
 func RunFig5(s *Suite) (*Fig5, error) {
 	f := &Fig5{}
-	rob := Machine(s.Scale).CPU.ROBSize
-	if err := s.Warm(analyzeRequests(s.benchmarks(), rob)); err != nil {
+	benches := s.benchmarks()
+	rob := Machine(s.Base.Scale).CPU.ROBSize
+	sts, err := grid[trace.DepStats](s, benches, []Request{{Analyze: true, ROBSize: rob}})
+	if err != nil {
 		return nil, err
 	}
-	for _, b := range s.benchmarks() {
-		st, err := s.Analyze(b, rob)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		st := sts[i][0]
 		row := Fig5Row{Bench: b, InChainFrac: st.InChainFraction(), AvgChainLen: st.AvgChainLen}
 		f.Rows = append(f.Rows, row)
 		f.MeanInChainFrac += row.InChainFrac
@@ -412,16 +419,14 @@ type Fig6 struct {
 // producer; structure 41.4% producer / 6% consumer).
 func RunFig6(s *Suite) (*Fig6, error) {
 	f := &Fig6{}
-	rob := Machine(s.Scale).CPU.ROBSize
 	benches := s.benchmarks()
-	if err := s.Warm(analyzeRequests(benches, rob)); err != nil {
+	rob := Machine(s.Base.Scale).CPU.ROBSize
+	sts, err := grid[trace.DepStats](s, benches, []Request{{Analyze: true, ROBSize: rob}})
+	if err != nil {
 		return nil, err
 	}
-	for _, b := range benches {
-		st, err := s.Analyze(b, rob)
-		if err != nil {
-			return nil, err
-		}
+	for _, row := range sts {
+		st := row[0]
 		for dt := 0; dt < mem.NumDataTypes; dt++ {
 			f.ProducerFrac[dt] += st.ProducerFraction(mem.DataType(dt))
 			f.ConsumerFrac[dt] += st.ConsumerFraction(mem.DataType(dt))
@@ -466,15 +471,12 @@ type Fig7 struct {
 func RunFig7(s *Suite) (*Fig7, error) {
 	f := &Fig7{}
 	benches := s.benchmarks()
-	if err := s.Warm(kindRequests(benches, core.NoPrefetch)); err != nil {
+	rs, err := grid[*sim.Result](s, benches, kindCols(core.NoPrefetch))
+	if err != nil {
 		return nil, err
 	}
-	for _, b := range benches {
-		r, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
-		row := Fig7Row{Bench: b, Serviced: r.ServicedFractions()}
+	for i, b := range benches {
+		row := Fig7Row{Bench: b, Serviced: rs[i][0].ServicedFractions()}
 		f.Rows = append(f.Rows, row)
 		for dt := 0; dt < mem.NumDataTypes; dt++ {
 			for l := 0; l < memsys.NumLevels; l++ {
@@ -524,24 +526,18 @@ type Fig11 struct {
 
 // RunFig11 reproduces Fig. 11a/11b.
 func RunFig11(s *Suite) (*Fig11, error) {
-	kinds := append([]core.PrefetcherKind{core.NoPrefetch}, fig11Kinds...)
-	if err := s.Warm(kindRequests(s.benchmarks(), kinds...)); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, kindCols(append([]core.PrefetcherKind{core.NoPrefetch}, fig11Kinds...)...))
+	if err != nil {
 		return nil, err
 	}
 	f := &Fig11{Geomean: make(map[string]map[string]float64)}
 	perAlgo := make(map[string]map[string][]float64)
-	for _, b := range s.benchmarks() {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		base := rs[i][0]
 		row := Fig11Row{Bench: b, Speedup: make(map[string]float64)}
-		for _, k := range fig11Kinds {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			sp := r.Speedup(base)
+		for j, k := range fig11Kinds {
+			sp := rs[i][j+1].Speedup(base)
 			row.Speedup[k.String()] = sp
 			algo := b.Algo.String()
 			if perAlgo[algo] == nil {
@@ -605,32 +601,14 @@ type Fig12 struct {
 // RunFig12 reproduces Fig. 12 (DROPLET turns the under-utilized L2 into a
 // high-hit-rate staging buffer).
 func RunFig12(s *Suite) (*Fig12, error) {
-	if err := s.Warm(kindRequests(s.benchmarks(), fig12Kinds...)); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, kindCols(fig12Kinds...))
+	if err != nil {
 		return nil, err
 	}
-	f := &Fig12{HitRate: make(map[string]map[string]float64)}
-	counts := make(map[string]int)
-	for _, b := range s.benchmarks() {
-		algo := b.Algo.String()
-		if f.HitRate[algo] == nil {
-			f.HitRate[algo] = make(map[string]float64)
-		}
-		for _, k := range fig12Kinds {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			f.HitRate[algo][k.String()] += r.L2HitRate()
-		}
-		counts[algo]++
-	}
-	for _, algo := range sortedKeys(f.HitRate) {
-		m := f.HitRate[algo]
-		for _, cfg := range sortedKeys(m) {
-			m[cfg] /= float64(counts[algo])
-		}
-	}
-	return f, nil
+	return &Fig12{HitRate: meanByAlgo(benches, fig12Kinds, rs, func(r *sim.Result) (float64, bool) {
+		return r.L2HitRate(), true
+	})}, nil
 }
 
 // Format renders Fig. 12 as text.
@@ -663,39 +641,17 @@ type Fig13 struct {
 
 // RunFig13 reproduces Fig. 13.
 func RunFig13(s *Suite) (*Fig13, error) {
-	if err := s.Warm(kindRequests(s.benchmarks(), fig12Kinds...)); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, kindCols(fig12Kinds...))
+	if err != nil {
 		return nil, err
 	}
 	f := &Fig13{MPKI: make(map[string]map[string][mem.NumDataTypes]float64)}
-	counts := make(map[string]int)
-	for _, b := range s.benchmarks() {
-		algo := b.Algo.String()
-		if f.MPKI[algo] == nil {
-			f.MPKI[algo] = make(map[string][mem.NumDataTypes]float64)
-		}
-		for _, k := range fig12Kinds {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			acc := f.MPKI[algo][k.String()]
-			m := r.DemandMPKIByType()
-			for dt := range acc {
-				acc[dt] += m[dt]
-			}
-			f.MPKI[algo][k.String()] = acc
-		}
-		counts[algo]++
-	}
-	for _, algo := range sortedKeys(f.MPKI) {
-		m := f.MPKI[algo]
-		for _, cfg := range sortedKeys(m) {
-			acc := m[cfg]
-			for dt := range acc {
-				acc[dt] /= float64(counts[algo])
-			}
-			m[cfg] = acc
-		}
+	for dt := range mem.NumDataTypes {
+		mean := meanByAlgo(benches, fig12Kinds, rs, func(r *sim.Result) (float64, bool) {
+			return r.DemandMPKIByType()[dt], true
+		})
+		mergeByType(f.MPKI, mean, dt)
 	}
 	return f, nil
 }
@@ -726,49 +682,17 @@ type Fig14 struct {
 
 // RunFig14 reproduces Fig. 14.
 func RunFig14(s *Suite) (*Fig14, error) {
-	kinds := []core.PrefetcherKind{core.Stream, core.StreamMPP1, core.DROPLET}
-	if err := s.Warm(kindRequests(s.benchmarks(), kinds...)); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, kindCols(fig14Kinds...))
+	if err != nil {
 		return nil, err
 	}
 	f := &Fig14{Accuracy: make(map[string]map[string][2]float64)}
-	counts := make(map[string]map[string][2]int)
-	for _, b := range s.benchmarks() {
-		algo := b.Algo.String()
-		if f.Accuracy[algo] == nil {
-			f.Accuracy[algo] = make(map[string][2]float64)
-			counts[algo] = make(map[string][2]int)
-		}
-		for _, k := range kinds {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			acc := f.Accuracy[algo][k.String()]
-			cnt := counts[algo][k.String()]
-			if a, ok := r.PrefetchAccuracy(mem.Structure); ok {
-				acc[0] += a
-				cnt[0]++
-			}
-			if a, ok := r.PrefetchAccuracy(mem.Property); ok {
-				acc[1] += a
-				cnt[1]++
-			}
-			f.Accuracy[algo][k.String()] = acc
-			counts[algo][k.String()] = cnt
-		}
-	}
-	for _, algo := range sortedKeys(f.Accuracy) {
-		m := f.Accuracy[algo]
-		for _, cfg := range sortedKeys(m) {
-			acc := m[cfg]
-			cnt := counts[algo][cfg]
-			for i := range acc {
-				if cnt[i] > 0 {
-					acc[i] /= float64(cnt[i])
-				}
-			}
-			m[cfg] = acc
-		}
+	for i, dt := range []mem.DataType{mem.Structure, mem.Property} {
+		mean := meanByAlgo(benches, fig14Kinds, rs, func(r *sim.Result) (float64, bool) {
+			return r.PrefetchAccuracy(dt)
+		})
+		mergeByType(f.Accuracy, mean, i)
 	}
 	return f, nil
 }
@@ -779,7 +703,7 @@ func (f *Fig14) Format() string {
 	sb.WriteString("Fig 14: prefetch accuracy (mean per algorithm)\n")
 	fmt.Fprintf(&sb, "  %-6s %-13s %12s %12s\n", "algo", "config", "structure", "property")
 	for _, a := range workload.AllAlgorithms {
-		for _, k := range []core.PrefetcherKind{core.Stream, core.StreamMPP1, core.DROPLET} {
+		for _, k := range fig14Kinds {
 			acc := f.Accuracy[a.String()][k.String()]
 			fmt.Fprintf(&sb, "  %-6s %-13s %11.1f%% %11.1f%%\n", a, k, acc[0]*100, acc[1]*100)
 		}
@@ -799,30 +723,17 @@ type Fig15 struct {
 
 // RunFig15 reproduces Fig. 15 (paper: DROPLET adds 6.5%-19.9% bandwidth).
 func RunFig15(s *Suite) (*Fig15, error) {
-	if err := s.Warm(kindRequests(s.benchmarks(), fig12Kinds...)); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, kindCols(fig12Kinds...))
+	if err != nil {
 		return nil, err
 	}
-	f := &Fig15{BPKI: make(map[string]map[string]float64), Extra: make(map[string]float64)}
-	counts := make(map[string]int)
-	for _, b := range s.benchmarks() {
-		algo := b.Algo.String()
-		if f.BPKI[algo] == nil {
-			f.BPKI[algo] = make(map[string]float64)
-		}
-		for _, k := range fig12Kinds {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return nil, err
-			}
-			f.BPKI[algo][k.String()] += r.BPKI()
-		}
-		counts[algo]++
-	}
+	f := &Fig15{Extra: make(map[string]float64)}
+	f.BPKI = meanByAlgo(benches, fig12Kinds, rs, func(r *sim.Result) (float64, bool) {
+		return r.BPKI(), true
+	})
 	for _, algo := range sortedKeys(f.BPKI) {
 		m := f.BPKI[algo]
-		for _, cfg := range sortedKeys(m) {
-			m[cfg] /= float64(counts[algo])
-		}
 		if base := m[core.NoPrefetch.String()]; base > 0 {
 			f.Extra[algo] = (m[core.DROPLET.String()] - base) / base
 		}

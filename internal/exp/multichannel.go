@@ -41,35 +41,18 @@ func RunMultiChannel(s *Suite) (*MultiChannel, error) {
 	if s.Benchmarks != nil {
 		benches = s.Benchmarks
 	}
-	var reqs []Request
-	for _, b := range benches {
-		for _, k := range []core.PrefetcherKind{core.NoPrefetch, core.DROPLET} {
-			reqs = append(reqs,
-				Request{Bench: b, Kind: k},
-				Request{Bench: b, Kind: k, Variant: twoChannels})
-		}
-	}
-	if err := s.Warm(reqs); err != nil {
+	rs, err := grid[*sim.Result](s, benches, []Request{
+		{Kind: core.NoPrefetch},
+		{Kind: core.NoPrefetch, Variant: twoChannels},
+		{Kind: core.DROPLET},
+		{Kind: core.DROPLET, Variant: twoChannels},
+	})
+	if err != nil {
 		return nil, err
 	}
 	f := &MultiChannel{}
-	for _, b := range benches {
-		base1, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
-		drop1, err := s.Result(b, core.DROPLET, Variant{})
-		if err != nil {
-			return nil, err
-		}
-		base2, err := s.Result(b, core.NoPrefetch, twoChannels)
-		if err != nil {
-			return nil, err
-		}
-		drop2, err := s.Result(b, core.DROPLET, twoChannels)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		base1, base2, drop1, drop2 := rs[i][0], rs[i][1], rs[i][2], rs[i][3]
 		f.Rows = append(f.Rows, MultiChannelRow{
 			Bench:        b,
 			OneChannel:   drop1.Speedup(base1),

@@ -22,7 +22,7 @@ func TestFlightPanicIsAnError(t *testing.T) {
 	calls := 0
 	fn := func(context.Context) (any, error) {
 		calls++
-		_, e, err := s.acquireTrace(bfsRoad, s.Scale, 0)
+		_, e, err := s.acquireTrace(bfsRoad, s.Base.Scale, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -105,12 +105,12 @@ func TestPanickingTraceGenerationSettles(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		s.acquireTrace(bfsRoad, s.Scale, 0)
+		s.acquireTrace(bfsRoad, s.Base.Scale, 0)
 	}()
 	<-started
 	waiter := make(chan error, 1)
 	go func() {
-		_, e, err := s.acquireTrace(bfsRoad, s.Scale, 0)
+		_, e, err := s.acquireTrace(bfsRoad, s.Base.Scale, 0)
 		if err == nil {
 			s.releaseTrace(e)
 		}
@@ -136,7 +136,7 @@ func TestPanickingTraceGenerationSettles(t *testing.T) {
 
 	next := make(chan error, 1)
 	go func() {
-		_, e, err := s.acquireTrace(bfsRoad, s.Scale, 0)
+		_, e, err := s.acquireTrace(bfsRoad, s.Base.Scale, 0)
 		if err == nil {
 			s.releaseTrace(e)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"droplet/internal/core"
 	"droplet/internal/mem"
+	"droplet/internal/sim"
 )
 
 // comparisonKinds is the engine set the "pfx" matrix sweeps: the suite's
@@ -52,22 +53,17 @@ type PfxMatrix struct {
 // no-prefetch baseline on the suite's benchmark matrix.
 func RunPrefetcherMatrix(s *Suite) (*PfxMatrix, error) {
 	kinds := s.comparisonKinds()
-	all := append([]core.PrefetcherKind{core.NoPrefetch}, kinds...)
-	if err := s.Warm(kindRequests(s.benchmarks(), all...)); err != nil {
+	benches := s.benchmarks()
+	rs, err := grid[*sim.Result](s, benches, kindCols(append([]core.PrefetcherKind{core.NoPrefetch}, kinds...)...))
+	if err != nil {
 		return nil, err
 	}
 	f := &PfxMatrix{Kinds: kinds, Rows: make(map[string][]PfxRow)}
-	for _, b := range s.benchmarks() {
-		base, err := s.Baseline(b)
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		base := rs[i][0]
 		rows := make([]PfxRow, 0, len(kinds))
-		for _, k := range kinds {
-			r, err := s.Result(b, k, Variant{})
-			if err != nil {
-				return nil, err
-			}
+		for j, k := range kinds {
+			r := rs[i][j+1]
 			row := PfxRow{Kind: k, Speedup: r.Speedup(base)}
 			row.AccStruct, row.HasStruct = r.PrefetchAccuracy(mem.Structure)
 			row.AccProp, row.HasProp = r.PrefetchAccuracy(mem.Property)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"droplet/internal/cache"
-	"droplet/internal/core"
 	"droplet/internal/mem"
 	"droplet/internal/sim"
 )
@@ -15,11 +14,12 @@ import (
 func replPolicies() []cache.Kind { return cache.AllKinds() }
 
 // replVariant names the machine variant that sets the LLC policy to k.
-// The suite's own policy (Suite.Replacement) keeps the empty name, so it
-// shares the cached no-prefetch baseline instead of re-simulating it;
-// every other policy, LRU included, gets its own repl-<policy> variant.
+// The suite's own policy (Suite.Base.Replacement) keeps the empty name,
+// so it shares the cached no-prefetch baseline instead of re-simulating
+// it; every other policy, LRU included, gets its own repl-<policy>
+// variant.
 func (s *Suite) replVariant(k cache.Kind) Variant {
-	if k == s.Replacement {
+	if k == s.Base.Replacement {
 		return Variant{}
 	}
 	kk := k
@@ -52,23 +52,20 @@ type ReplSweep struct {
 // benchmark matrix (no prefetcher, so replacement effects are not
 // masked by prefetch fills).
 func RunReplacementSweep(s *Suite) (*ReplSweep, error) {
-	var reqs []Request
-	for _, b := range s.benchmarks() {
-		for _, k := range replPolicies() {
-			reqs = append(reqs, Request{Bench: b, Kind: core.NoPrefetch, Variant: s.replVariant(k)})
-		}
+	benches, policies := s.benchmarks(), replPolicies()
+	cols := make([]Request, len(policies))
+	for i, k := range policies {
+		cols[i] = Request{Variant: s.replVariant(k)}
 	}
-	if err := s.Warm(reqs); err != nil {
+	rs, err := grid[*sim.Result](s, benches, cols)
+	if err != nil {
 		return nil, err
 	}
 	f := &ReplSweep{Rows: make(map[string]map[string]ReplRow)}
-	for _, b := range s.benchmarks() {
+	for i, b := range benches {
 		row := make(map[string]ReplRow)
-		for _, k := range replPolicies() {
-			r, err := s.Result(b, core.NoPrefetch, s.replVariant(k))
-			if err != nil {
-				return nil, err
-			}
+		for j, k := range policies {
+			r := rs[i][j]
 			rr := ReplRow{
 				Misses: r.Hier.Stats().LLCDemandMissesByType,
 				Cycles: r.Cycles,

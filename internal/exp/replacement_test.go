@@ -17,7 +17,7 @@ func TestReplSweepIndependentOfSuitePolicy(t *testing.T) {
 	sweep := func(pol cache.Kind) map[string]ReplRow {
 		s := NewSuite(workload.Quick)
 		s.Benchmarks = []workload.Benchmark{b}
-		s.Replacement = pol
+		s.Base.Replacement = pol
 		f, err := RunReplacementSweep(s)
 		if err != nil {
 			t.Fatalf("%v suite: %v", pol, err)

@@ -37,7 +37,7 @@ func RunReuseDist(s *Suite) (*ReuseDist, error) {
 			benches = append(benches, workload.Benchmark{Algo: a, Dataset: "kron"})
 		}
 	}
-	m := Machine(s.Scale)
+	m := Machine(s.Base.Scale)
 	l1Lines := m.L1.SizeBytes / mem.LineSize
 	l2Lines := m.L2.SizeBytes / mem.LineSize
 	llcLines := m.LLC.SizeBytes / mem.LineSize
@@ -46,7 +46,7 @@ func RunReuseDist(s *Suite) (*ReuseDist, error) {
 	// suite's scheduler: traces come from the shared bounded cache and
 	// rows return in input order regardless of completion order.
 	rows, err := forEachBench(s, benches, func(_ context.Context, b workload.Benchmark) (ReuseDistRow, error) {
-		tr, entry, err := s.acquireTrace(b, s.Scale, 0)
+		tr, entry, err := s.acquireTrace(b, s.Base.Scale, s.Base.Cores)
 		if err != nil {
 			return ReuseDistRow{}, err
 		}

@@ -39,45 +39,18 @@ func (r Request) label() string {
 	return fmtKey(r.Bench, r.Kind, r.Variant.Name)
 }
 
-// canonicalOf lowers a table request onto the canonical simulation
-// request shape, folding in the suite-wide machine settings. The result
-// is exactly the request an HTTP client would send to reproduce this
-// table cell, so the scheduler cache, telemetry file names, and the
-// service all share one keyspace.
-func (s *Suite) canonicalOf(r Request) simreq.Request {
-	q := simreq.Request{
-		Benchmark:     r.Bench.String(),
-		Scale:         s.Scale.String(),
-		Cores:         simreq.DefaultCores,
-		Prefetcher:    r.Kind.String(),
-		Replacement:   s.Replacement.String(),
-		ReplacementL1: s.ReplacementL1.String(),
-		ReplacementL2: s.ReplacementL2.String(),
-		Variant:       r.Variant.Name,
-		EpochCycles:   s.EpochCycles,
-	}
-	if s.Sample.Enabled() {
-		q.Sampling = &simreq.Sampling{
-			IntervalEpochs: s.Sample.IntervalEpochs,
-			DetailEpochs:   s.Sample.DetailEpochs,
-			WarmupEpochs:   s.Sample.WarmupEpochs,
-			Warming:        s.Sample.Warming.String(),
-		}
-	}
-	return q
-}
-
 // keyOf is the singleflight/result-cache identity of a request: the
-// canonical simreq hash for timing simulations — the same key the HTTP
-// service and telemetry file naming use — or an explicit analyze/ key
-// for dependency analyses, which have no wire shape. A request that
+// canonical simreq hash of its cell — exactly the request an HTTP client
+// would send to reproduce it, so the scheduler cache, telemetry file
+// names and the service share one keyspace — or an explicit analyze/
+// key for dependency analyses, which have no wire shape. A cell that
 // cannot canonicalize (e.g. an unknown dataset) gets a distinct
-// invalid/ key so the real validation error surfaces at execution.
+// invalid/ key so the real error surfaces at execution.
 func (s *Suite) keyOf(r Request) string {
 	if r.Analyze {
 		return r.label()
 	}
-	h, err := s.canonicalOf(r).Hash()
+	h, err := s.cell(r).Request().Hash()
 	if err != nil {
 		return "invalid/" + r.label()
 	}
@@ -207,7 +180,7 @@ func (s *Suite) wait(ctx context.Context, key string, f *flight) (any, error) {
 func (s *Suite) execute(ctx context.Context, key string, req Request) (any, error) {
 	label := req.label()
 	if req.Analyze {
-		tr, entry, err := s.acquireTrace(req.Bench, s.Scale, 0)
+		tr, entry, err := s.acquireTrace(req.Bench, s.Base.Scale, s.Base.Cores)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s: %w", label, err)
 		}
@@ -216,11 +189,7 @@ func (s *Suite) execute(ctx context.Context, key string, req Request) (any, erro
 		s.progress(fmt.Sprintf("analyzed %-25s rob=%d", req.Bench, req.ROBSize))
 		return st, nil
 	}
-	rv, err := s.canonicalOf(req).Resolve()
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", label, err)
-	}
-	return s.runSim(ctx, rv, req.Variant.Mutate, key, label)
+	return s.runSim(ctx, s.cell(req), req.Variant.Mutate, key, label)
 }
 
 // MachineOf lowers a resolved request onto the simulated machine and the
@@ -407,51 +376,36 @@ func (s *Suite) evictIdleLocked() bool {
 
 // -------------------------------------------------------------- scheduler
 
-// Warm executes reqs on a benchmark-major worker pool of jobs() workers:
-// requests sharing a benchmark run on the same worker (one trace
-// generation, sequential sims), while distinct benchmarks fan out. The
-// first error cancels work not yet started and is returned; results land
-// in the suite cache for deterministic retrieval afterwards. Duplicate
-// keys are deduplicated, so warming is idempotent and free for
-// already-cached requests.
-func (s *Suite) Warm(reqs []Request) error {
-	var benches []workload.Benchmark
-	byBench := make(map[workload.Benchmark][]Request)
-	seen := make(map[string]bool)
-	for _, r := range reqs {
-		key := s.keyOf(r)
-		if seen[key] {
-			continue
+// grid runs one table: each benchmark's row of column requests (cols
+// with Bench set to the row's benchmark) on the scheduler's pool, with
+// the cells in rows[i][j] for benches[i] and cols[j]. A row pins its
+// trace once, so distinct benchmarks fan out while a benchmark's cells
+// run in column order on one worker over one trace, and every cell goes
+// through the singleflight cache, so a cell another table already ran is
+// a cache hit. Errors follow forEachBench: a row that sees the pool
+// cancelled stops without an error of its own, so the reported error is
+// the failing row's.
+func grid[T any](s *Suite, benches []workload.Benchmark, cols []Request) ([][]T, error) {
+	return forEachBench(s, benches, func(ctx context.Context, b workload.Benchmark) ([]T, error) {
+		_, entry, err := s.acquireTrace(b, s.Base.Scale, s.Base.Cores)
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s: %w", b, err)
 		}
-		seen[key] = true
-		if _, ok := byBench[r.Bench]; !ok {
-			benches = append(benches, r.Bench)
+		defer s.releaseTrace(entry)
+		row := make([]T, len(cols))
+		for j, c := range cols {
+			if ctx.Err() != nil {
+				return nil, nil
+			}
+			c.Bench = b
+			v, err := s.do(c)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = v.(T)
 		}
-		byBench[r.Bench] = append(byBench[r.Bench], r)
-	}
-	_, err := forEachBench(s, benches, func(ctx context.Context, b workload.Benchmark) (struct{}, error) {
-		return struct{}{}, s.runGroup(ctx, b, byBench[b])
+		return row, nil
 	})
-	return err
-}
-
-// runGroup pins b's trace once, then executes each request through the
-// singleflight cache (which reuses the pinned trace).
-func (s *Suite) runGroup(ctx context.Context, b workload.Benchmark, reqs []Request) error {
-	_, entry, err := s.acquireTrace(b, s.Scale, 0)
-	if err != nil {
-		return fmt.Errorf("exp: %s: %w", b, err)
-	}
-	defer s.releaseTrace(entry)
-	for _, req := range reqs {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if _, err := s.do(req); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // forEachBench maps fn over benches on the scheduler's pool of
@@ -459,7 +413,7 @@ func (s *Suite) runGroup(ctx context.Context, b workload.Benchmark, reqs []Reque
 // returned slice. The first error cancels ctx, so work not yet started
 // is skipped, and the earliest error in input order is returned, so the
 // error a caller sees does not depend on completion timing. It runs
-// every stage whose unit of work is a whole benchmark: Warm's groups and
+// every stage whose unit of work is a whole benchmark: grid's rows and
 // reuse-distance profiling.
 func forEachBench[T any](s *Suite, benches []workload.Benchmark, fn func(ctx context.Context, b workload.Benchmark) (T, error)) ([]T, error) {
 	out := make([]T, len(benches))

@@ -7,6 +7,7 @@ import (
 
 	"droplet/internal/core"
 	"droplet/internal/sim"
+	"droplet/internal/trace"
 	"droplet/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func TestConcurrentResultSingleflight(t *testing.T) {
 		{Algo: workload.BFS, Dataset: "road"},
 	}
 	kinds := []core.PrefetcherKind{core.NoPrefetch, core.Stream}
-	rob := Machine(s.Scale).CPU.ROBSize
+	rob := Machine(s.Base.Scale).CPU.ROBSize
 
 	type got struct {
 		key string
@@ -146,8 +147,8 @@ func TestTraceCacheBounded(t *testing.T) {
 		{Algo: workload.CC, Dataset: "kron"},
 	}
 	for _, b := range benches {
-		if _, err := s.Baseline(b); err != nil {
-			t.Fatalf("Baseline(%s): %v", b, err)
+		if _, err := s.Result(b, core.NoPrefetch, Variant{}); err != nil {
+			t.Fatalf("Result(%s): %v", b, err)
 		}
 		s.traceMu.Lock()
 		live := len(s.traces)
@@ -158,24 +159,54 @@ func TestTraceCacheBounded(t *testing.T) {
 	}
 }
 
-// TestWarmPropagatesErrors checks error aggregation: a benchmark that
-// cannot generate a trace fails the batch deterministically.
-func TestWarmPropagatesErrors(t *testing.T) {
+// TestBaseCores: the base machine's core count reaches every table cell,
+// which runs over a trace generated with that many per-core streams.
+func TestBaseCores(t *testing.T) {
+	s := NewSuite(workload.Quick)
+	s.Base.Cores = 2
+	var mu sync.Mutex
+	var streams []int
+	s.generateTrace = func(b workload.Benchmark, sc workload.Scale, cores int) (*trace.Trace, error) {
+		tr, err := workload.GenerateTrace(b, sc, cores)
+		if err == nil {
+			mu.Lock()
+			streams = append(streams, tr.NumCores())
+			mu.Unlock()
+		}
+		return tr, err
+	}
+	rs, err := grid[*sim.Result](s, []workload.Benchmark{{Algo: workload.BFS, Dataset: "road"}}, kindCols(core.NoPrefetch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rs[0][0]; r.Config.Cores != 2 || len(r.CoreStats) != 2 {
+		t.Errorf("cell ran %d cores (%d core stats), want 2", r.Config.Cores, len(r.CoreStats))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(streams) != 1 || streams[0] != 2 {
+		t.Errorf("generated traces with %v streams, want one with 2", streams)
+	}
+}
+
+// TestGridPropagatesErrors checks error aggregation: a benchmark that
+// cannot generate a trace fails the table deterministically.
+func TestGridPropagatesErrors(t *testing.T) {
 	s := NewSuite(workload.Quick)
 	s.Jobs = 2
-	reqs := []Request{
-		{Bench: workload.Benchmark{Algo: workload.PR, Dataset: "kron"}},
-		{Bench: workload.Benchmark{Algo: workload.PR, Dataset: "nonexistent"}},
+	benches := []workload.Benchmark{
+		{Algo: workload.PR, Dataset: "kron"},
+		{Algo: workload.PR, Dataset: "nonexistent"},
 	}
-	err := s.Warm(reqs)
+	_, err := grid[*sim.Result](s, benches, kindCols(core.NoPrefetch))
 	if err == nil {
-		t.Fatal("Warm succeeded despite unknown dataset")
+		t.Fatal("grid succeeded despite unknown dataset")
 	}
 	if !strings.Contains(err.Error(), "nonexistent") {
 		t.Errorf("error %v does not name the failing benchmark", err)
 	}
 	// The healthy sibling must remain usable afterwards.
-	if _, err := s.Baseline(reqs[0].Bench); err != nil {
-		t.Errorf("healthy benchmark unusable after failed batch: %v", err)
+	if _, err := s.Result(benches[0], core.NoPrefetch, Variant{}); err != nil {
+		t.Errorf("healthy benchmark unusable after failed table: %v", err)
 	}
 }

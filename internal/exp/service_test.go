@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"droplet/internal/core"
 	"droplet/internal/simreq"
 	"droplet/internal/workload"
 )
@@ -22,7 +23,7 @@ func TestSimResultSharesTableCache(t *testing.T) {
 	s.Progress = counter.hook()
 
 	b := workload.Benchmark{Algo: workload.PR, Dataset: "kron"}
-	r1, err := s.Baseline(b)
+	r1, err := s.Result(b, core.NoPrefetch, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}

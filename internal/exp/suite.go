@@ -11,9 +11,9 @@ import (
 	"runtime"
 	"sync"
 
-	"droplet/internal/cache"
 	"droplet/internal/core"
 	"droplet/internal/sim"
+	"droplet/internal/simreq"
 	"droplet/internal/trace"
 	"droplet/internal/workload"
 )
@@ -52,11 +52,18 @@ func Machine(sc workload.Scale) sim.Config {
 // variant) key share a single simulation via per-key singleflight, and at
 // most Jobs benchmark traces are kept alive at once, so peak memory
 // scales with the parallelism rather than the matrix size (Jobs=1
-// reproduces the historical "one trace alive" discipline). Experiments
-// iterate benchmark-major and pre-warm the cache through the scheduler
-// (see sched.go), then read results back in deterministic table order.
+// reproduces the historical "one trace alive" discipline). Every
+// simulation and analysis experiment runs its table as one benchmarks ×
+// columns grid on the scheduler (see sched.go), so results come back in
+// deterministic table order however the cells interleaved.
 type Suite struct {
-	Scale workload.Scale
+	// Base is the machine every cell runs on: scale, cores, replacement
+	// policies, epoch granularity and sampling. A cell is Base with the
+	// cell's own benchmark, prefetcher and variant in place of Base's.
+	// Base is part of every cell's cache key, so set it before the first
+	// table and construct one Suite per machine (as the CLIs do) rather
+	// than mutating it between requests.
+	Base simreq.Resolved
 	// Benchmarks restricts the benchmark matrix (nil means all 25 pairs);
 	// the CLI uses it for filtering and tests for speed.
 	Benchmarks []workload.Benchmark
@@ -75,33 +82,10 @@ type Suite struct {
 	// are written by the single flight that executes each key, so their
 	// contents are byte-identical regardless of Jobs.
 	TelemetryDir string
-	// EpochCycles sets the telemetry epoch granularity (0 means
-	// sim.DefaultEpochCycles). Only consulted when TelemetryDir is set
-	// or Sample is enabled.
-	EpochCycles int64
-
-	// Sample, when enabled, runs every timing simulation under SMARTS
-	// interval sampling: Result.Cycles stays the raw (partially
-	// fast-forwarded) clock, and Result.Sampled carries the extrapolated
-	// cycle estimate. Dependency analyses are unaffected.
-	Sample sim.Sampling
-
-	// Replacement sets the LLC replacement policy of the baseline machine
-	// for every simulation (zero value: LRU). It is a whole-suite setting,
-	// not part of the per-request cache key — construct one Suite per
-	// policy (as the CLIs do) rather than mutating it between requests.
-	// The "repl" experiment sweeps policies via per-request Variants on
-	// top of it: its column for this policy is the suite baseline, and
-	// every other column (LRU included) is a repl-<policy> variant.
-	Replacement cache.Kind
-	// ReplacementL1 and ReplacementL2 set the private-cache replacement
-	// policies the same way (zero value: LRU, the Table I baseline).
-	ReplacementL1 cache.Kind
-	ReplacementL2 cache.Kind
 
 	// Prefetchers restricts the engine set the "pfx" comparison matrix
-	// sweeps (nil means the fig11 kinds plus the Pickle engine). Like
-	// Replacement it is a whole-suite setting, not part of the cache key.
+	// sweeps (nil means the fig11 kinds plus the Pickle engine). It
+	// selects columns, so it is not part of any cell's cache key.
 	Prefetchers []core.PrefetcherKind
 
 	mu      sync.Mutex
@@ -115,11 +99,11 @@ type Suite struct {
 	generateTrace func(workload.Benchmark, workload.Scale, int) (*trace.Trace, error)
 }
 
-// NewSuite returns an empty suite at the given scale with Jobs set to
-// runtime.NumCPU().
+// NewSuite returns an empty suite whose Base is the default machine at
+// the given scale, with Jobs set to runtime.NumCPU().
 func NewSuite(sc workload.Scale) *Suite {
 	s := &Suite{
-		Scale:   sc,
+		Base:    simreq.Resolved{Scale: sc, Cores: simreq.DefaultCores},
 		Jobs:    runtime.NumCPU(),
 		flights: make(map[string]*flight),
 		traces:  make(map[string]*traceEntry),
@@ -146,33 +130,22 @@ func (s *Suite) Result(b workload.Benchmark, kind core.PrefetcherKind, v Variant
 	return val.(*sim.Result), nil
 }
 
+// cell is the resolved request of one table cell: Base with r's
+// benchmark, prefetcher and variant.
+func (s *Suite) cell(r Request) simreq.Resolved {
+	rv := s.Base
+	rv.Benchmark = r.Bench
+	rv.Prefetcher = r.Kind
+	rv.Variant = r.Variant.Name
+	return rv
+}
+
 // benchmarks returns the suite's benchmark matrix.
 func (s *Suite) benchmarks() []workload.Benchmark {
 	if s.Benchmarks != nil {
 		return s.Benchmarks
 	}
 	return workload.AllBenchmarks()
-}
-
-// Algorithms returns the algorithms present in the suite's matrix, in
-// canonical order.
-func (s *Suite) Algorithms() []workload.Algorithm {
-	seen := make(map[workload.Algorithm]bool)
-	for _, b := range s.benchmarks() {
-		seen[b.Algo] = true
-	}
-	var out []workload.Algorithm
-	for _, a := range workload.AllAlgorithms {
-		if seen[a] {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Baseline is shorthand for the no-prefetch baseline result.
-func (s *Suite) Baseline(b workload.Benchmark) (*sim.Result, error) {
-	return s.Result(b, core.NoPrefetch, Variant{})
 }
 
 // Analyze returns trace-level dependency statistics for b (no timing

@@ -119,9 +119,9 @@ type Experiment struct {
 
 // Experiments lists every reproducible table and figure.
 var Experiments = []Experiment{
-	{"table1", "baseline architecture", func(s *Suite) (string, error) { return TableI(s.Scale), nil }},
+	{"table1", "baseline architecture", func(s *Suite) (string, error) { return TableI(s.Base.Scale), nil }},
 	{"table2", "algorithms", func(s *Suite) (string, error) { return TableII(), nil }},
-	{"table3", "datasets", func(s *Suite) (string, error) { return TableIII(s.Scale) }},
+	{"table3", "datasets", func(s *Suite) (string, error) { return TableIII(s.Base.Scale) }},
 	{"table4", "prefetch design decisions", func(s *Suite) (string, error) { return TableIV(), nil }},
 	{"table5", "prefetcher parameters", func(s *Suite) (string, error) { return TableV(), nil }},
 	{"fig1", "cycle stack of PR-orkut", wrap(RunFig1)},
@@ -150,7 +150,7 @@ var Experiments = []Experiment{
 	{"adaptive", "adaptive data-awareness extension (Section VII-B)", wrap(RunAdaptive)},
 	{"multichannel", "multiple memory controllers (Section VI)", wrap(RunMultiChannel)},
 	{"overhead", "hardware storage overhead (Section V-D)", func(s *Suite) (string, error) {
-		o := core.ComputeOverhead(prefetch.DefaultMPPConfig(), Machine(s.Scale).DRAM.MRBEntries, Machine(s.Scale).Cores)
+		o := core.ComputeOverhead(prefetch.DefaultMPPConfig(), Machine(s.Base.Scale).DRAM.MRBEntries, Machine(s.Base.Scale).Cores)
 		return o.Format(), nil
 	}},
 }

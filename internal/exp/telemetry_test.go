@@ -23,7 +23,7 @@ func runFig11Telemetry(t *testing.T, dir string, jobs int) []string {
 	}
 	s.Jobs = jobs
 	s.TelemetryDir = dir
-	s.EpochCycles = 20000
+	s.Base.EpochCycles = 20000
 	if _, err := RunFig11(s); err != nil {
 		t.Fatalf("RunFig11(jobs=%d): %v", jobs, err)
 	}
@@ -97,7 +97,7 @@ func TestTelemetryJobsDeterminism(t *testing.T) {
 // and the HTTP service's result key are one identity.
 func TestTelemetryFileNaming(t *testing.T) {
 	s := NewSuite(workload.Quick)
-	s.EpochCycles = 20000
+	s.Base.EpochCycles = 20000
 	r := Request{
 		Bench: workload.Benchmark{Algo: workload.PR, Dataset: "kron"},
 		Kind:  core.DROPLET,

@@ -47,6 +47,11 @@ func (l Level) String() string {
 	}
 }
 
+// MaxCores is the most cores one hierarchy serves: the width of the
+// LLC line's upper-residency mask (cache.Victim.Upper), which records
+// which cores' private caches may hold the line.
+const MaxCores = 16
+
 // Config describes the hierarchy.
 type Config struct {
 	Cores int
@@ -61,8 +66,8 @@ type Config struct {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Cores < 1 {
-		return fmt.Errorf("memsys: %d cores", c.Cores)
+	if c.Cores < 1 || c.Cores > MaxCores {
+		return fmt.Errorf("memsys: %d cores, want 1 to %d", c.Cores, MaxCores)
 	}
 	if err := c.L1.Validate(); err != nil {
 		return err
@@ -132,13 +137,6 @@ type Hierarchy struct {
 	memos []translationMemo
 	pfbuf []prefetch.Req
 
-	// upperBits enables the LLC's per-line upper-residency mask, which
-	// lets fillLLC back-invalidate only the cores that could actually
-	// hold the evicted line. The mask is a uint16, so configurations
-	// beyond 16 cores fall back to probing every core (behaviorally
-	// identical, just slower).
-	upperBits bool
-
 	stats Stats
 }
 
@@ -163,6 +161,7 @@ type translationMemo [memoSize]memoEntry
 // translate resolves vline through core's memo, falling back to the page
 // table (and the region table for the data type) on a memo miss. ok is
 // false for unmapped addresses.
+//
 //droplet:addr vline byte
 func (h *Hierarchy) translate(core int, vline mem.Addr) (pte mem.PTE, dtype mem.DataType, ok bool) {
 	vpn := vline >> mem.PageShift
@@ -197,8 +196,6 @@ func New(cfg Config, as *mem.AddressSpace) (*Hierarchy, error) {
 		l2eng: make([]prefetch.Engine, cfg.Cores),
 		memos: make([]translationMemo, cfg.Cores),
 		pfbuf: make([]prefetch.Req, 0, 64),
-
-		upperBits: cfg.Cores <= 16,
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1Cfg := cfg.L1
@@ -359,6 +356,7 @@ func (h *Hierarchy) AddressSpace() *mem.AddressSpace { return h.as }
 
 // Access performs a demand access from core at time now and returns the
 // completion time plus the level that serviced it.
+//
 //droplet:hotpath
 //droplet:addr vaddr byte
 func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write bool, now int64) (int64, Level) {
@@ -474,6 +472,7 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 // LLC-attached engine. It runs after the demand itself has been serviced,
 // so a triggering miss is never delayed by the prefetches it spawns; the
 // L2 observation's scratch buffer is idle by then and is reused.
+//
 //droplet:hotpath
 //droplet:addr vline byte
 //droplet:addr paddr byte
@@ -504,6 +503,7 @@ func (h *Hierarchy) observeLLC(core int, vline, paddr mem.Addr, dtype mem.DataTy
 // with a slow prefetch would wait longer than if the prefetch had never
 // been issued. Callers only invoke it when ready > now (the line is
 // actually in flight), keeping the call off the plain-hit fast path.
+//
 //droplet:addr paddr byte
 func (h *Hierarchy) expedite(paddr mem.Addr, ready, now int64) int64 {
 	llcLat := int64(h.cfg.LLC.LatencyTag + h.cfg.LLC.LatencyData)
@@ -520,6 +520,7 @@ func (h *Hierarchy) expedite(paddr mem.Addr, ready, now int64) int64 {
 
 // fillUpper installs the line into L1 (always) and optionally L2,
 // propagating writebacks and marking write-allocated lines dirty.
+//
 //droplet:addr paddr byte
 func (h *Hierarchy) fillUpper(core int, paddr mem.Addr, dtype mem.DataType, readyAt int64, write, intoL1, intoL2 bool) {
 	if intoL2 && h.l2[core] != nil {
@@ -554,6 +555,7 @@ func (h *Hierarchy) fillUpper(core int, paddr mem.Addr, dtype mem.DataType, read
 // fillLLC installs a line into the shared LLC, handling inclusive
 // back-invalidation of every core's private caches and dirty writebacks
 // to DRAM.
+//
 //droplet:addr paddr byte
 func (h *Hierarchy) fillLLC(paddr mem.Addr, dtype mem.DataType, readyAt int64, pf bool) {
 	v := h.llc.Fill(paddr, dtype, readyAt, pf)
@@ -571,33 +573,19 @@ func (h *Hierarchy) fillLLCEvict(v cache.Victim) bool {
 		return false
 	}
 	dirty := v.Dirty
-	if h.upperBits {
-		// Probe only cores whose bit is set in the victim's residency
-		// mask. A clear bit proves the core never installed the line
-		// while this LLC copy was resident, so its private caches cannot
-		// hold it and the Invalidate would be a guaranteed no-op; a stale
-		// set bit (the core evicted its copy on its own) just degenerates
-		// to the same miss-probe the unmasked loop would have done.
-		for mask := v.Upper; mask != 0; mask &= mask - 1 {
-			c := bits.TrailingZeros16(mask)
-			if lv := h.l1[c].Invalidate(v.Addr); lv.Valid && lv.Dirty {
-				dirty = true
-			}
-			if h.l2[c] != nil {
-				if lv := h.l2[c].Invalidate(v.Addr); lv.Valid && lv.Dirty {
-					dirty = true
-				}
-			}
+	// Probe only cores whose bit is set in the victim's residency mask.
+	// A clear bit proves the core never installed the line while this
+	// LLC copy was resident, so its private caches cannot hold it and the
+	// Invalidate would be a guaranteed no-op; a stale set bit (the core
+	// evicted its copy on its own) just costs a miss-probe.
+	for mask := v.Upper; mask != 0; mask &= mask - 1 {
+		c := bits.TrailingZeros16(mask)
+		if lv := h.l1[c].Invalidate(v.Addr); lv.Valid && lv.Dirty {
+			dirty = true
 		}
-	} else {
-		for c := 0; c < h.cfg.Cores; c++ {
-			if lv := h.l1[c].Invalidate(v.Addr); lv.Valid && lv.Dirty {
+		if h.l2[c] != nil {
+			if lv := h.l2[c].Invalidate(v.Addr); lv.Valid && lv.Dirty {
 				dirty = true
-			}
-			if h.l2[c] != nil {
-				if lv := h.l2[c].Invalidate(v.Addr); lv.Valid && lv.Dirty {
-					dirty = true
-				}
 			}
 		}
 	}
@@ -614,6 +602,7 @@ func (h *Hierarchy) fillLLCEvict(v cache.Victim) bool {
 // advance (the accesses are architecturally real); the demand
 // ServicedBy/latency attribution stays untouched because no service
 // level or latency is computed.
+//
 //droplet:addr vaddr byte
 func (h *Hierarchy) Warm(core int, vaddr mem.Addr, dtype mem.DataType, write bool, now int64) {
 	vline := mem.LineAddr(vaddr)
@@ -650,15 +639,15 @@ func (h *Hierarchy) Warm(core int, vaddr mem.Addr, dtype mem.DataType, write boo
 // line is resident in the LLC at every call site (installs happen only
 // alongside an LLC hit or fill — the inclusion invariant), so the mark
 // lands on the live copy.
+//
 //droplet:addr paddr byte
 func (h *Hierarchy) markUpper(core int, paddr mem.Addr) {
-	if h.upperBits {
-		h.llc.MarkUpper(paddr, 1<<uint(core))
-	}
+	h.llc.MarkUpper(paddr, 1<<uint(core))
 }
 
 // ExecutePrefetch runs one engine-issued prefetch request at time now
 // (plus the request's own Delay).
+//
 //droplet:hotpath
 func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
 	now += r.Delay
@@ -731,6 +720,7 @@ func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
 
 // installPrefetch places a prefetched line into the private L2 (and L1
 // for the monolithic arrangement), maintaining inclusion bookkeeping.
+//
 //droplet:addr paddr byte
 func (h *Hierarchy) installPrefetch(core int, paddr mem.Addr, dtype mem.DataType, readyAt int64, fillL1 bool) {
 	if l2 := h.l2[core]; l2 != nil {
@@ -758,6 +748,7 @@ func (h *Hierarchy) installPrefetch(core int, paddr mem.Addr, dtype mem.DataType
 
 // LineOnChip implements prefetch.Chip: the inclusive LLC covers all
 // private caches, so an LLC probe is the coherence-engine check.
+//
 //droplet:hotpath
 //droplet:addr paddr byte
 func (h *Hierarchy) LineOnChip(paddr mem.Addr) bool {
@@ -768,6 +759,7 @@ func (h *Hierarchy) LineOnChip(paddr mem.Addr) bool {
 // CopyLLCToL2 implements prefetch.Chip (Fig. 8: on-chip property line
 // copied from the inclusive LLC into the requesting core's private L2).
 // Lines already resident in the destination cache are left untouched.
+//
 //droplet:hotpath
 //droplet:addr paddr byte
 func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool) {
@@ -792,6 +784,7 @@ func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, no
 
 // IssueDRAMPrefetch implements prefetch.Chip (Fig. 8: off-chip property
 // prefetch queued at the MC, filling the LLC and the private L2).
+//
 //droplet:hotpath
 //droplet:addr paddr byte
 //droplet:addr vaddr byte

@@ -268,6 +268,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg, mem.NewAddressSpace()); err == nil {
 		t.Error("zero cores accepted")
 	}
+	if _, err := New(tinyConfig(MaxCores), mem.NewAddressSpace()); err != nil {
+		t.Errorf("%d cores rejected: %v", MaxCores, err)
+	}
+	if _, err := New(tinyConfig(MaxCores+1), mem.NewAddressSpace()); err == nil {
+		t.Errorf("%d cores accepted: the upper-residency mask has %d bits", MaxCores+1, MaxCores)
+	}
 	cfg = tinyConfig(1)
 	cfg.L1.SizeBytes = 100
 	if _, err := New(cfg, mem.NewAddressSpace()); err == nil {

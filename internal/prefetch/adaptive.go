@@ -72,6 +72,7 @@ func (a *AdaptiveStreamer) Issued() uint64 { return a.s.Issued }
 func (a *AdaptiveStreamer) RejectedNonStructure() uint64 { return a.s.RejectedNonStructure }
 
 // Observe implements Engine.
+//
 //droplet:hotpath
 func (a *AdaptiveStreamer) Observe(ev AccessInfo, reqs []Req) []Req {
 	a.count++

@@ -17,7 +17,7 @@ func DefaultGHBConfig() GHBConfig {
 
 type ghbEntry struct {
 	lineAddr uint64 //droplet:addr line
-	prevIdx  int32 // previous entry with the same key, -1 if none
+	prevIdx  int32  // previous entry with the same key, -1 if none
 	seq      uint64
 }
 
@@ -69,6 +69,7 @@ func deltaKey(d1, d2 int64) uint64 {
 }
 
 // Observe implements Engine. GHB trains on L2 misses only.
+//
 //droplet:hotpath
 func (g *GHB) Observe(ev AccessInfo, reqs []Req) []Req {
 	if ev.L2Hit {

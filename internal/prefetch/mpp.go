@@ -119,11 +119,11 @@ type MPP struct {
 	props []PropArray
 	mtlb  *mem.TLB
 
-	inflight []int64    // completion times of outstanding DRAM prefetches
+	inflight []int64 // completion times of outstanding DRAM prefetches
 	//droplet:addr byte
-	seen []mem.Addr // per-refill dedup scratch; tiny, so a linear scan beats a map
-	ids      []uint32   // scan scratch buffer, reused across refills
-	stats    MPPStats
+	seen  []mem.Addr // per-refill dedup scratch; tiny, so a linear scan beats a map
+	ids   []uint32   // scan scratch buffer, reused across refills
+	stats MPPStats
 }
 
 // NewMPP builds an MPP. scan and props come from the workload layout
@@ -149,6 +149,7 @@ func NewMPP(cfg MPPConfig, as *mem.AddressSpace, scan LineScanner, props []PropA
 func (m *MPP) Name() string { return "mpp" }
 
 // Observe implements Engine; the MPP acts on refills, not demand events.
+//
 //droplet:hotpath
 func (m *MPP) Observe(_ AccessInfo, reqs []Req) []Req { return reqs }
 
@@ -193,6 +194,7 @@ func (m *MPP) Shootdown(vpns []uint64, structureBit []bool) int {
 // OnRefill is the MC refill subscription entry point (Fig. 8 ❷): scan the
 // prefetched structure line, generate property addresses, translate them
 // through the MTLB, probe the coherence engine, and deliver.
+//
 //droplet:hotpath
 func (m *MPP) OnRefill(r dram.Refill) {
 	if !m.Triggered(r) {

@@ -47,16 +47,16 @@ type PickleStats struct {
 // Pickle attaches at the shared LLC with cross-core scope.
 type Pickle struct {
 	LLCShared
-	cfg    PickleConfig
-	scan   LineScanner
-	props  []PropArray
+	cfg   PickleConfig
+	scan  LineScanner
+	props []PropArray
 	// recent and seen hold previously-issued line-aligned addresses.
 	//droplet:addr byte
 	recent []mem.Addr
 	//droplet:addr byte
-	seen []mem.Addr
-	ids    []uint32   // scan scratch buffer, reused across triggers
-	stats  PickleStats
+	seen  []mem.Addr
+	ids   []uint32 // scan scratch buffer, reused across triggers
+	stats PickleStats
 }
 
 // NewPickle builds the engine. scan and props come from the workload
@@ -84,6 +84,7 @@ func (p *Pickle) Stats() *PickleStats { return &p.stats }
 // Observe implements Engine: on a structure demand miss from any core,
 // scan the missing line's neighbor IDs and issue delayed LLC-only
 // property prefetches.
+//
 //droplet:hotpath
 func (p *Pickle) Observe(ev AccessInfo, reqs []Req) []Req {
 	if ev.LLCHit || ev.Write || ev.DType != mem.Structure || !ev.StructureBit {

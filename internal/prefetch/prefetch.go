@@ -197,5 +197,6 @@ type Nop struct{ L2Local }
 func (Nop) Name() string { return "nopf" }
 
 // Observe implements Engine.
+//
 //droplet:hotpath
 func (Nop) Observe(_ AccessInfo, reqs []Req) []Req { return reqs }

@@ -29,10 +29,10 @@ func DefaultStreamerConfig() StreamerConfig {
 // tracker follows one page-bounded access stream.
 type tracker struct {
 	page     uint64 // page number being tracked
-	lastLine int64 //droplet:addr line
+	lastLine int64  //droplet:addr line
 	dir      int64  // +1 / -1, 0 while undetermined
 	confirms int    // misses seen agreeing with dir
-	frontier int64 //droplet:addr line
+	frontier int64  //droplet:addr line
 	active   bool
 	lru      uint64
 	core     int
@@ -73,6 +73,7 @@ func (s *Streamer) Name() string {
 }
 
 // Observe implements Engine.
+//
 //droplet:hotpath
 func (s *Streamer) Observe(ev AccessInfo, reqs []Req) []Req {
 	// The conventional streamer snoops every L1-miss address in the L2

@@ -21,7 +21,7 @@ func DefaultVLDPConfig() VLDPConfig {
 // dhbEntry is one page's delta history.
 type dhbEntry struct {
 	page     uint64
-	lastLine int64 //droplet:addr line
+	lastLine int64   //droplet:addr line
 	deltas   []int64 // most recent last (newest at the end)
 	lru      uint64
 	used     bool
@@ -110,6 +110,7 @@ func histKey(deltas []int64, n int) uint64 {
 }
 
 // Observe implements Engine. VLDP trains on L2 misses.
+//
 //droplet:hotpath
 func (v *VLDP) Observe(ev AccessInfo, reqs []Req) []Req {
 	if ev.L2Hit {

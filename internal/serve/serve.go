@@ -78,9 +78,9 @@ type Server struct {
 }
 
 // New wraps suite in a Server. Every request resolves its own machine,
-// so of the suite's settings only Jobs and Progress apply; its Scale and
-// policy fields shape experiment tables alone. TelemetryDir should stay
-// empty (the service streams telemetry per request instead).
+// so of the suite's settings only Jobs and Progress apply; its Base
+// shapes experiment tables alone. TelemetryDir should stay empty (the
+// service streams telemetry per request instead).
 func New(suite *exp.Suite) *Server {
 	s := &Server{
 		suite:   suite,

@@ -67,6 +67,18 @@ func TestSimulateBadRequest(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "variant") {
 		t.Errorf("variant request: status = %d body = %s, want 400 naming variant", rec.Code, rec.Body.String())
 	}
+
+	// A core count past the hierarchy's limit is a field error, not a
+	// machine built for it: its translation memos alone would need 8 GiB.
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/simulate",
+		strings.NewReader(`{"benchmark":"BFS-road","cores":1048576}`)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), `"field":"cores"`) {
+		t.Errorf("cores request: status = %d body = %s, want 400 naming cores", rec.Code, rec.Body.String())
+	}
+	if n := srv.MetricsSnapshot()["simulations_total"]; n != 0 {
+		t.Errorf("simulations_total = %d after rejected requests, want 0", n)
+	}
 }
 
 // TestSimulateTrailingData checks that a body with anything after the

@@ -47,27 +47,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// ScaledConfig returns the baseline with caches scaled down by the given
-// power-of-two factor (same latencies). The experiment harness pairs it
-// with proportionally scaled graphs so every footprint-to-capacity ratio
-// of the paper is preserved at tractable simulation cost; see DESIGN.md.
-func ScaledConfig(shift uint) Config {
-	c := DefaultConfig()
-	c.L1.SizeBytes >>= shift
-	c.L2.SizeBytes >>= shift
-	c.LLC.SizeBytes >>= shift
-	if c.L1.SizeBytes < 1<<10 {
-		c.L1.SizeBytes = 1 << 10
-	}
-	if c.L2.SizeBytes < 4<<10 {
-		c.L2.SizeBytes = 4 << 10
-	}
-	if c.LLC.SizeBytes < 32<<10 {
-		c.LLC.SizeBytes = 32 << 10
-	}
-	return c
-}
-
 // memConfig lowers Config to the hierarchy's view.
 func (c Config) memConfig() memsys.Config {
 	return memsys.Config{

@@ -233,20 +233,6 @@ func TestLargerLLCHelpsPropertyMost(t *testing.T) {
 	}
 }
 
-func TestScaledConfig(t *testing.T) {
-	c := ScaledConfig(5)
-	if c.LLC.SizeBytes != 256<<10 || c.L2.SizeBytes != 8<<10 {
-		t.Errorf("scaled sizes: L2=%d LLC=%d", c.L2.SizeBytes, c.LLC.SizeBytes)
-	}
-	c = ScaledConfig(20) // clamps
-	if c.L1.SizeBytes < 1<<10 || c.LLC.SizeBytes < 32<<10 {
-		t.Errorf("clamps failed: %+v", c)
-	}
-	if err := c.memConfig().Validate(); err != nil {
-		t.Errorf("scaled config invalid: %v", err)
-	}
-}
-
 func TestParseKind(t *testing.T) {
 	for _, k := range core.AllKinds {
 		got, err := core.ParseKind(k.String())

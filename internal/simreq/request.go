@@ -24,6 +24,7 @@ import (
 
 	"droplet/internal/cache"
 	"droplet/internal/core"
+	"droplet/internal/memsys"
 	"droplet/internal/sim"
 	"droplet/internal/workload"
 )
@@ -172,6 +173,8 @@ func (r Request) Resolve() (Resolved, error) {
 		rv.Cores = DefaultCores
 	case r.Cores < 0:
 		fail("cores", fmt.Errorf("simreq: negative core count %d", r.Cores))
+	case r.Cores > memsys.MaxCores:
+		fail("cores", fmt.Errorf("simreq: %d cores, the hierarchy serves at most %d", r.Cores, memsys.MaxCores))
 	}
 	if r.Prefetcher != "" {
 		if rv.Prefetcher, err = core.ParseKind(r.Prefetcher); err != nil {

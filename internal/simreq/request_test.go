@@ -212,6 +212,26 @@ func TestResolveTyped(t *testing.T) {
 	}
 }
 
+// TestCoresBound checks the core count against the hierarchy's limit:
+// zero is the default machine, memsys.MaxCores the largest accepted, and
+// anything above it a field error on cores, reported before a trace or
+// machine is built for it.
+func TestCoresBound(t *testing.T) {
+	for _, tc := range []struct{ cores, want int }{{0, DefaultCores}, {16, 16}} {
+		rv, err := Request{Benchmark: "BFS-road", Cores: tc.cores}.Resolve()
+		if err != nil || rv.Cores != tc.want {
+			t.Errorf("cores %d resolved to %d, %v; want %d", tc.cores, rv.Cores, err, tc.want)
+		}
+	}
+	for _, cores := range []int{17, 1 << 20} {
+		_, err := Request{Benchmark: "BFS-road", Cores: cores}.Resolve()
+		var fe FieldErrors
+		if !errors.As(err, &fe) || len(fe) != 1 || fe[0].Field != "cores" {
+			t.Errorf("cores %d: Resolve error = %v, want one field error on cores", cores, err)
+		}
+	}
+}
+
 // TestVariantGolden pins that the JSON field set stays closed: adding a
 // field without bumping Version silently splits the cache keyspace.
 func TestVariantGolden(t *testing.T) {

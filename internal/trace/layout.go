@@ -48,6 +48,7 @@ func NewLayout(g *graph.CSR) *Layout {
 // on the weighted-graph granularity). Addresses outside the structure
 // region append nothing. The caller owns the buffer (prefetch.LineScanner
 // contract), so the scan never allocates in steady state.
+//
 //droplet:hotpath
 //droplet:addr vline byte
 //droplet:addr ids vertex
