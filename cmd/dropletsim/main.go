@@ -360,7 +360,7 @@ func run(rf runFlags, rv simreq.Resolved) error {
 	}
 
 	if rf.footprint != "" {
-		if err := writeFootprint(rf, rv.Scale, r, events, peak.stop()); err != nil {
+		if err := writeFootprint(rf, rv, r, events, peak.stop()); err != nil {
 			return err
 		}
 		fmt.Fprintf(info, "footprint written to %s\n", rf.footprint)
@@ -536,12 +536,14 @@ type footprintReport struct {
 	PeakHeapInuse uint64 `json:"peak_heap_inuse"`
 }
 
-func writeFootprint(rf runFlags, sc workload.Scale, r *sim.Result, events int64, peak uint64) error {
+// writeFootprint writes the report for the run rv resolved to, so a
+// defaulted flag (-cores 0) reports the value the run used.
+func writeFootprint(rf runFlags, rv simreq.Resolved, r *sim.Result, events int64, peak uint64) error {
 	rep := footprintReport{
-		Benchmark:     fmt.Sprintf("%s-%s", rf.algo, rf.dataset),
-		Scale:         sc.String(),
+		Benchmark:     rv.Benchmark.String(),
+		Scale:         rv.Scale.String(),
 		Stream:        rf.stream,
-		Cores:         rf.cores,
+		Cores:         rv.Cores,
 		Events:        events,
 		Instructions:  r.Instructions,
 		Cycles:        r.Cycles,

@@ -1,13 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"droplet/internal/core"
 	"droplet/internal/exp"
+	"droplet/internal/sim"
 	"droplet/internal/simreq"
 )
 
@@ -120,5 +124,32 @@ func TestMatrixRejectsSingleRunFlags(t *testing.T) {
 		if err := runMatrix(c, rv, pfx); err == nil || !strings.HasPrefix(err.Error(), args[0]+":") {
 			t.Errorf("-matrix fig1 %v: error %v, want one naming %s", args, err, args[0])
 		}
+	}
+}
+
+// TestFootprintReportsResolvedRun: the -footprint report names the run
+// that was simulated, not the raw flags: "-cores 0" resolves to the
+// default four cores, and the benchmark carries its canonical name.
+func TestFootprintReportsResolvedRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fp.json")
+	c := parseFlags([]string{"-algo", "pr", "-dataset", "road", "-cores", "0", "-footprint", path})
+	rv, _, err := c.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFootprint(c.runFlags, rv, &sim.Result{Instructions: 7, Cycles: 9}, 11, 13); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got footprintReport
+	if err := json.Unmarshal(b, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := footprintReport{Benchmark: "PR-road", Scale: "quick", Cores: 4, Events: 11, Instructions: 7, Cycles: 9, PeakHeapInuse: 13}
+	if got != want {
+		t.Errorf("footprint report = %+v, want %+v", got, want)
 	}
 }

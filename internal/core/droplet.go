@@ -121,10 +121,6 @@ type Options struct {
 	VLDP     prefetch.VLDPConfig
 	MPP      prefetch.MPPConfig
 	Pickle   prefetch.PickleConfig
-	// MonoTriggerDelay is the extra delay before the monolithic L1
-	// arrangement can scan a structure line: the refill must first climb
-	// LLC→L2→L1 (computed from the hierarchy's latencies by default).
-	MonoTriggerDelay int64
 }
 
 // DefaultOptions returns the Table V parameters.
@@ -152,7 +148,7 @@ type Attachment struct {
 }
 
 // SharedEngineCore is the Core value EngineSnapshot uses for engines
-// observing the merged cross-core stream (shared scope).
+// observing the merged cross-core stream (the LLC and MC levels).
 const SharedEngineCore = -1
 
 // EngineSnapshot is a point-in-time view of one prefetch engine's
@@ -216,7 +212,27 @@ func Attach(k PrefetcherKind, h *memsys.Hierarchy, layout *trace.Layout, opt Opt
 		}
 	}
 
-	attachMPP := func(cfg prefetch.MPPConfig) {
+	// streamers attaches one L2 streamer per core: data-aware (DROPLET's
+	// structure-only C-bit streamer, Fig. 9(b)) or conventional.
+	streamers := func(dataAware, fillL1 bool) {
+		cfg := opt.Streamer
+		cfg.DataAware, cfg.FillL1 = dataAware, fillL1
+		for c := 0; c < n; c++ {
+			s := prefetch.NewStreamer(cfg)
+			a.Streamers = append(a.Streamers, s)
+			wire(c, s)
+		}
+	}
+
+	attachMPP := func(trigger prefetch.TriggerMode) {
+		cfg := opt.MPP
+		cfg.Trigger = trigger
+		if k == MonoDROPLETL1 {
+			// The monolithic arrangement fills the L1, and its property
+			// scan waits for the refill to climb LLC→L2→L1.
+			cfg.FillL1 = true
+			cfg.ExtraTriggerDelay = h.RefillClimbLatency()
+		}
 		// The MPP declares AttachMC: the seam subscribes it to refill
 		// completions (delivery deferred to when the refill completes, not
 		// when the read is scheduled) and binds the chip interface.
@@ -243,59 +259,23 @@ func Attach(k PrefetcherKind, h *memsys.Hierarchy, layout *trace.Layout, opt Opt
 		}
 
 	case Stream:
-		cfg := opt.Streamer
-		cfg.DataAware = false
-		cfg.FillL1 = false
-		for c := 0; c < n; c++ {
-			s := prefetch.NewStreamer(cfg)
-			a.Streamers = append(a.Streamers, s)
-			wire(c, s)
-		}
+		streamers(false, false)
 
 	case StreamMPP1:
-		cfg := opt.Streamer
-		cfg.DataAware = false
-		for c := 0; c < n; c++ {
-			s := prefetch.NewStreamer(cfg)
-			a.Streamers = append(a.Streamers, s)
-			wire(c, s)
-		}
-		mcfg := opt.MPP
-		mcfg.Trigger = prefetch.TriggerStructureOracle
-		attachMPP(mcfg)
+		streamers(false, opt.Streamer.FillL1)
+		attachMPP(prefetch.TriggerStructureOracle)
 
-	case DROPLET, DROPLETDemandTriggered:
-		cfg := opt.Streamer
-		cfg.DataAware = true
-		for c := 0; c < n; c++ {
-			s := prefetch.NewStreamer(cfg)
-			a.Streamers = append(a.Streamers, s)
-			wire(c, s)
-		}
-		mcfg := opt.MPP
-		mcfg.Trigger = prefetch.TriggerCBit
-		if k == DROPLETDemandTriggered {
-			mcfg.Trigger = prefetch.TriggerStructureDemand
-		}
-		attachMPP(mcfg)
+	case DROPLET:
+		streamers(true, opt.Streamer.FillL1)
+		attachMPP(prefetch.TriggerCBit)
+
+	case DROPLETDemandTriggered:
+		streamers(true, opt.Streamer.FillL1)
+		attachMPP(prefetch.TriggerStructureDemand)
 
 	case MonoDROPLETL1:
-		cfg := opt.Streamer
-		cfg.DataAware = true
-		cfg.FillL1 = true
-		for c := 0; c < n; c++ {
-			s := prefetch.NewStreamer(cfg)
-			a.Streamers = append(a.Streamers, s)
-			wire(c, s)
-		}
-		mcfg := opt.MPP
-		mcfg.Trigger = prefetch.TriggerStructureOracle
-		mcfg.FillL1 = true
-		mcfg.ExtraTriggerDelay = opt.MonoTriggerDelay
-		if mcfg.ExtraTriggerDelay == 0 {
-			mcfg.ExtraTriggerDelay = h.RefillClimbLatency()
-		}
-		attachMPP(mcfg)
+		streamers(true, true)
+		attachMPP(prefetch.TriggerStructureOracle)
 
 	case DROPLETAdaptive:
 		acfg := opt.Adaptive
@@ -307,9 +287,7 @@ func Attach(k PrefetcherKind, h *memsys.Hierarchy, layout *trace.Layout, opt Opt
 		}
 		// The streamer's mode varies, so the C-bit cannot be relied on:
 		// pair with the structure-oracle MPP (the streamMPP1 trigger).
-		mcfg := opt.MPP
-		mcfg.Trigger = prefetch.TriggerStructureOracle
-		attachMPP(mcfg)
+		attachMPP(prefetch.TriggerStructureOracle)
 
 	case Pickle:
 		a.Pickle = prefetch.NewPickle(opt.Pickle, scan, props)

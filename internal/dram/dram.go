@@ -69,8 +69,8 @@ type Request struct {
 	// Addr is the physical (line-aligned, byte-domain) address.
 	//droplet:addr byte
 	Addr mem.Addr
-	// VAddr is the corresponding virtual line address, carried so refill
-	// subscribers (the MPP) can interpret the line's contents.
+	// VAddr is the corresponding virtual line address, carried into the
+	// read's Refill so the MPP can interpret the line's contents.
 	//droplet:addr byte
 	VAddr mem.Addr
 	// CoreID records the requesting core (stored in the MRB so the MPP
@@ -90,8 +90,10 @@ type Request struct {
 	DType mem.DataType
 }
 
-// Refill is the MC-side view of a completed fill, delivered to refill
-// subscribers (the MPP taps this to see prefetched structure cachelines).
+// Refill is the MC-side view of a completed read fill: the MRB fields of
+// its Request plus the issue and completion times. The memory hierarchy
+// builds one per DRAM read for its refill subscribers (the MPP taps
+// this to see prefetched structure cachelines).
 type Refill struct {
 	// Addr and VAddr are the physical and virtual line-aligned addresses.
 	//droplet:addr byte
@@ -148,8 +150,6 @@ type MemoryController struct {
 	// -1; route uses it to replace two u64 divisions with shift/mask.
 	bankShift int
 	stats     Stats
-	onRefill  []func(Refill)
-	lastCycle int64
 }
 
 // NewMemoryController builds an MC; invalid configs panic (construction-
@@ -190,12 +190,6 @@ func (mc *MemoryController) Config() Config { return mc.cfg }
 
 // Stats returns the live counters.
 func (mc *MemoryController) Stats() *Stats { return &mc.stats }
-
-// SubscribeRefill registers a callback invoked for every completed read
-// fill (the MPP attach point).
-func (mc *MemoryController) SubscribeRefill(f func(Refill)) {
-	mc.onRefill = append(mc.onRefill, f)
-}
 
 //droplet:addr addr byte
 func (mc *MemoryController) route(addr mem.Addr) (ch, bank int, row int64) {
@@ -278,9 +272,6 @@ func (mc *MemoryController) Access(req Request, now int64) int64 {
 	}
 	mc.stats.BusyCycles += mc.cfg.TransferCycles
 	complete := start + lat + mc.cfg.TransferCycles
-	if complete > mc.lastCycle {
-		mc.lastCycle = complete
-	}
 
 	if req.Write {
 		mc.stats.Writes++
@@ -340,22 +331,6 @@ func (mc *MemoryController) Access(req Request, now int64) int64 {
 			}
 		}
 		mc.mrb[ch] = w
-	}
-
-	if len(mc.onRefill) > 0 {
-		r := Refill{
-			Addr:     mem.LineAddr(req.Addr),
-			VAddr:    mem.LineAddr(req.VAddr),
-			CoreID:   req.CoreID,
-			Prefetch: req.Prefetch,
-			CBit:     req.CBit,
-			DType:    req.DType,
-			ReadyAt:  complete,
-			IssuedAt: now,
-		}
-		for _, f := range mc.onRefill {
-			f(r)
-		}
 	}
 	return complete
 }

@@ -75,24 +75,6 @@ func TestWritesDoNotBlockCompletion(t *testing.T) {
 	}
 }
 
-func TestRefillSubscription(t *testing.T) {
-	mc := newMC()
-	var got []Refill
-	mc.SubscribeRefill(func(r Refill) { got = append(got, r) })
-	mc.Access(Request{Addr: 0x1234, VAddr: 0x5678, CoreID: 2, Prefetch: true, CBit: true, DType: mem.Structure}, 5)
-	mc.Access(Request{Addr: 0x8000, Write: true}, 5) // writes don't refill
-	if len(got) != 1 {
-		t.Fatalf("refills = %d, want 1", len(got))
-	}
-	r := got[0]
-	if r.Addr != mem.LineAddr(0x1234) || r.VAddr != mem.LineAddr(0x5678) || r.CoreID != 2 || !r.CBit || !r.Prefetch || r.DType != mem.Structure {
-		t.Errorf("refill = %+v", r)
-	}
-	if r.ReadyAt <= r.IssuedAt {
-		t.Errorf("refill ready %d not after issue %d", r.ReadyAt, r.IssuedAt)
-	}
-}
-
 func TestCBitAccounting(t *testing.T) {
 	mc := newMC()
 	mc.Access(Request{Addr: 0x40, Prefetch: true, CBit: true, DType: mem.Structure}, 0)

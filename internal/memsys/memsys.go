@@ -6,7 +6,8 @@
 // observe the merged cross-core demand stream, and MC engines react to
 // DRAM refills. The hierarchy also implements the prefetch.Chip interface
 // bound into ChipBinder engines like the MPP (coherence probe + the two
-// property-delivery paths of Fig. 8).
+// property-delivery paths of Fig. 8); ExecutePrefetch delivers every
+// engine-issued request through those same two paths.
 package memsys
 
 import (
@@ -125,8 +126,9 @@ type Hierarchy struct {
 	// Refill subscribers (the MPP) act at refill-completion time, which
 	// lies in the future when the read is scheduled. Acting immediately
 	// would issue follow-on prefetches with future timestamps and corrupt
-	// the MC's queue cursors, so completions are buffered in a min-heap
-	// and delivered once simulated time catches up.
+	// the MC's queue cursors, so every DRAM read (read) buffers its refill
+	// in a min-heap, delivered once simulated time catches up — but only
+	// while a subscriber exists.
 	refillSubs []func(dram.Refill)
 	pending    refillHeap
 
@@ -207,11 +209,6 @@ func New(cfg Config, as *mem.AddressSpace) (*Hierarchy, error) {
 			h.l2[i] = cache.New(l2Cfg)
 		}
 	}
-	h.mc.SubscribeRefill(func(r dram.Refill) {
-		if len(h.refillSubs) > 0 {
-			h.pending.push(r)
-		}
-	})
 	return h, nil
 }
 
@@ -220,6 +217,26 @@ func New(cfg Config, as *mem.AddressSpace) (*Hierarchy, error) {
 // (the MPP attach point).
 func (h *Hierarchy) SubscribeRefill(f func(dram.Refill)) {
 	h.refillSubs = append(h.refillSubs, f)
+}
+
+// read schedules a DRAM read and returns its completion time. While
+// refill subscribers exist it also buffers the read's refill — the MRB
+// fields of req plus the issue and completion times — for drainRefills.
+func (h *Hierarchy) read(req dram.Request, now int64) int64 {
+	complete := h.mc.Access(req, now)
+	if len(h.refillSubs) > 0 {
+		h.pending.push(dram.Refill{
+			Addr:     mem.LineAddr(req.Addr),
+			VAddr:    mem.LineAddr(req.VAddr),
+			CoreID:   req.CoreID,
+			Prefetch: req.Prefetch,
+			CBit:     req.CBit,
+			DType:    req.DType,
+			ReadyAt:  complete,
+			IssuedAt: now,
+		})
+	}
+	return complete
 }
 
 // drainRefills delivers every buffered refill that has completed by now.
@@ -281,37 +298,27 @@ func (q *refillHeap) pop() dram.Refill {
 }
 
 // AttachEngine wires e into the hierarchy at its declared attachment
-// level, validating the Level/Scope combination: AttachL2 engines are
-// per-core (ScopeLocal), AttachLLC engines observe the merged stream
-// (ScopeShared), and AttachMC engines must be RefillEngines. Engines
-// implementing ChipBinder are bound to the hierarchy's chip interface
-// before wiring. core names the owning core for ScopeLocal engines and
-// is ignored for ScopeShared ones.
+// level: an AttachL2 engine serves the one core named by core, an
+// AttachLLC engine observes every core's merged stream, and an AttachMC
+// engine, which must be a RefillEngine, reacts to every core's refills
+// (core is ignored for the shared levels). Engines implementing
+// ChipBinder are bound to the hierarchy's chip interface before wiring.
 func (h *Hierarchy) AttachEngine(core int, e prefetch.Engine) error {
 	if b, ok := e.(prefetch.ChipBinder); ok {
 		b.Bind(h)
 	}
 	switch e.Level() {
 	case prefetch.AttachL2:
-		if e.Scope() != prefetch.ScopeLocal {
-			return fmt.Errorf("memsys: engine %s: L2 attachment requires local scope, got %s", e.Name(), e.Scope())
-		}
 		if core < 0 || core >= h.cfg.Cores {
 			return fmt.Errorf("memsys: engine %s: core %d out of range [0,%d)", e.Name(), core, h.cfg.Cores)
 		}
 		h.l2eng[core] = e
 	case prefetch.AttachLLC:
-		if e.Scope() != prefetch.ScopeShared {
-			return fmt.Errorf("memsys: engine %s: LLC attachment requires shared scope, got %s", e.Name(), e.Scope())
-		}
 		h.llceng = append(h.llceng, e)
 	case prefetch.AttachMC:
 		re, ok := e.(prefetch.RefillEngine)
 		if !ok {
 			return fmt.Errorf("memsys: engine %s: MC attachment requires a RefillEngine", e.Name())
-		}
-		if e.Scope() != prefetch.ScopeShared {
-			return fmt.Errorf("memsys: engine %s: MC attachment requires shared scope, got %s", e.Name(), e.Scope())
 		}
 		h.SubscribeRefill(re.OnRefill)
 	default:
@@ -334,8 +341,7 @@ func (h *Hierarchy) RefillClimbLatency() int64 {
 	return lat
 }
 
-// MC returns the memory controller (for MPP refill subscription and
-// bandwidth stats).
+// MC returns the memory controller (bandwidth and traffic stats).
 func (h *Hierarchy) MC() *dram.MemoryController { return h.mc }
 
 // LLC returns the shared cache (stats access).
@@ -419,11 +425,12 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 			l2Ready = h.expedite(paddr, l2Ready, t)
 		}
 		complete := max64(l2Ready, t) + int64(h.cfg.L2.LatencyData)
-		// No markUpper here: the line being resident in this core's L2
-		// proves its bit is already set in the LLC copy — the bit was set
-		// when the L2 installed it, and an intervening LLC eviction would
-		// have back-invalidated the L2 (so the L2 hit could not happen).
-		h.fillUpper(core, paddr, dtype, complete, write, true, false)
+		// Not fromLLC, so no residency mark: the line being resident in
+		// this core's L2 proves its bit is already set in the LLC copy —
+		// the bit was set when the L2 installed it, and an intervening LLC
+		// eviction would have back-invalidated the L2 (so the L2 hit could
+		// not happen).
+		h.install(core, paddr, dtype, complete, false, true, false, write)
 		h.stats.ServicedBy[LevelL2][dtype]++
 		h.stats.LatencyByLevel[LevelL2][dtype] += complete - now
 		return complete, LevelL2
@@ -438,8 +445,7 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 			ready = h.expedite(paddr, ready, t)
 		}
 		complete := max64(ready, t) + int64(h.cfg.LLC.LatencyData)
-		h.markUpper(core, paddr) // hint is warm: llc.Access just touched the line
-		h.fillUpper(core, paddr, dtype, complete, write, true, true)
+		h.install(core, paddr, dtype, complete, true, true, false, write)
 		h.stats.ServicedBy[LevelL3][dtype]++
 		h.stats.LatencyByLevel[LevelL3][dtype] += complete - now
 		if len(h.llceng) != 0 {
@@ -451,15 +457,14 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 
 	// Off-chip.
 	h.stats.LLCDemandMissesByType[dtype]++
-	complete := h.mc.Access(dram.Request{
+	complete := h.read(dram.Request{
 		Addr:   paddr,
 		VAddr:  vline,
 		CoreID: core,
 		DType:  dtype,
 	}, t)
 	h.fillLLC(paddr, dtype, complete, false)
-	h.markUpper(core, paddr) // hint is warm: llc.Fill just installed the line
-	h.fillUpper(core, paddr, dtype, complete, write, true, true)
+	h.install(core, paddr, dtype, complete, true, true, false, write)
 	h.stats.ServicedBy[LevelDRAM][dtype]++
 	h.stats.LatencyByLevel[LevelDRAM][dtype] += complete - now
 	if len(h.llceng) != 0 {
@@ -518,33 +523,40 @@ func (h *Hierarchy) expedite(paddr mem.Addr, ready, now int64) int64 {
 	return ready
 }
 
-// fillUpper installs the line into L1 (always) and optionally L2,
-// propagating writebacks and marking write-allocated lines dirty.
+// install places a line arriving at readyAt into core's private caches
+// and keeps the hierarchy inclusive. A line from the LLC (fromLLC) sets
+// core's bit in the LLC copy's residency mask — every such caller has just
+// touched the line there, so the MRU hint is warm — and fills the L2; the
+// L1 takes the line when intoL1 is set or there is no L2. pf marks
+// prefetch fills, and write leaves the L1 copy dirty (a demand store). An
+// L2 victim back-invalidates the L1 (Table I: inclusive at all levels),
+// and a dirty victim marks the level below.
 //
 //droplet:addr paddr byte
-func (h *Hierarchy) fillUpper(core int, paddr mem.Addr, dtype mem.DataType, readyAt int64, write, intoL1, intoL2 bool) {
-	if intoL2 && h.l2[core] != nil {
-		v := h.l2[core].Fill(paddr, dtype, readyAt, false)
-		if v.Valid && v.Dirty {
-			h.llc.MarkDirty(v.Addr)
-		}
-		if v.Valid {
-			// L1 must not cache a line its L2 dropped? A non-inclusive
-			// L1/L2 pair is common, but Table I says inclusive at all
-			// levels: evicting from L2 back-invalidates the L1.
-			if lv := h.l1[core].Invalidate(v.Addr); lv.Valid && lv.Dirty {
-				h.llc.MarkDirty(v.Addr)
+func (h *Hierarchy) install(core int, paddr mem.Addr, dtype mem.DataType, readyAt int64, fromLLC, intoL1, pf, write bool) {
+	l1, l2 := h.l1[core], h.l2[core]
+	if fromLLC {
+		h.markUpper(core, paddr)
+		if l2 != nil {
+			v := l2.Fill(paddr, dtype, readyAt, pf)
+			if v.Valid {
+				if v.Dirty {
+					h.llc.MarkDirty(v.Addr)
+				}
+				if lv := l1.Invalidate(v.Addr); lv.Valid && lv.Dirty {
+					h.llc.MarkDirty(v.Addr)
+				}
 			}
 		}
 	}
-	if intoL1 {
-		v := h.l1[core].Fill(paddr, dtype, readyAt, false)
+	if intoL1 || l2 == nil {
+		v := l1.Fill(paddr, dtype, readyAt, pf)
 		if write {
-			h.l1[core].MarkDirty(paddr)
+			l1.MarkDirty(paddr)
 		}
 		if v.Valid && v.Dirty {
-			if h.l2[core] != nil {
-				h.l2[core].MarkDirty(v.Addr)
+			if l2 != nil {
+				l2.MarkDirty(v.Addr)
 			} else {
 				h.llc.MarkDirty(v.Addr)
 			}
@@ -619,25 +631,21 @@ func (h *Hierarchy) Warm(core int, vaddr mem.Addr, dtype mem.DataType, write boo
 	l2 := h.l2[core]
 	if l2 != nil {
 		if _, hit := l2.Access(paddr, dtype, write, now); hit {
-			h.fillUpper(core, paddr, dtype, now, write, true, false)
+			h.install(core, paddr, dtype, now, false, true, false, write)
 			return
 		}
 	}
-	if _, hit := h.llc.Access(paddr, dtype, write, now); hit {
-		h.markUpper(core, paddr)
-		h.fillUpper(core, paddr, dtype, now, write, true, true)
-		return
+	if _, hit := h.llc.Access(paddr, dtype, write, now); !hit {
+		// Off-chip: install the line at every level, ready immediately.
+		h.fillLLCEvict(h.llc.Fill(paddr, dtype, now, false))
 	}
-	// Off-chip: install the line at every level, ready immediately.
-	h.fillLLCEvict(h.llc.Fill(paddr, dtype, now, false))
-	h.markUpper(core, paddr)
-	h.fillUpper(core, paddr, dtype, now, write, true, true)
+	h.install(core, paddr, dtype, now, true, true, false, write)
 }
 
 // markUpper records that core is installing a private copy of paddr, so
 // the LLC's eventual eviction knows which private caches to probe. The
-// line is resident in the LLC at every call site (installs happen only
-// alongside an LLC hit or fill — the inclusion invariant), so the mark
+// line is resident in the LLC at every call site (install marks only a
+// line it takes from the LLC — the inclusion invariant), so the mark
 // lands on the live copy.
 //
 //droplet:addr paddr byte
@@ -646,7 +654,11 @@ func (h *Hierarchy) markUpper(core int, paddr mem.Addr) {
 }
 
 // ExecutePrefetch runs one engine-issued prefetch request at time now
-// (plus the request's own Delay).
+// (plus the request's own Delay). After translation it takes Fig. 8's
+// two delivery paths, the ones the MPP drives through the Chip
+// interface: a line already on chip is copied from the LLC
+// (CopyLLCToL2), and any other line is read from DRAM
+// (IssueDRAMPrefetch's path, keeping the request's C-bit).
 //
 //droplet:hotpath
 func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
@@ -661,88 +673,20 @@ func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
 	if r.LLCOnly {
 		// Cross-core delivery: fill the shared LLC and nothing above it, so
 		// every core sees the line without any private cache polluted.
-		if _, resident := h.llc.Lookup(paddr); resident {
+		if h.LineOnChip(paddr) {
 			h.stats.PrefetchFilteredOnChip++
 			return
 		}
-		complete := h.mc.Access(dram.Request{
-			Addr:     paddr,
-			VAddr:    vline,
-			CoreID:   r.Core,
-			Prefetch: true,
-			CBit:     r.CBit,
-			DType:    dtype,
-		}, now+int64(h.cfg.LLC.LatencyTag))
-		h.fillLLC(paddr, dtype, complete, true)
-		h.stats.PrefetchIssuedByType[dtype]++
+		h.dramPrefetch(r, paddr, vline, dtype, now+int64(h.cfg.LLC.LatencyTag))
 		return
 	}
-
-	// Already at the destination? Nothing to do.
-	dest := h.l1[r.Core]
-	if l2 := h.l2[r.Core]; l2 != nil && !r.FillL1 {
-		dest = l2
-	}
-	if _, resident := dest.Lookup(paddr); resident {
-		h.stats.PrefetchFilteredOnChip++
-		return
-	}
-
-	t := now
 	if !r.ViaL3Queue {
 		// Conventional path: the request sits in the L2 queue and probes
 		// the LLC on its way out.
-		t += int64(h.cfg.L2.LatencyTag)
+		now += int64(h.cfg.L2.LatencyTag)
 	}
-	if ready, resident := h.llc.Lookup(paddr); resident {
-		// On-chip: copy from the LLC into the private cache(s).
-		complete := max64(ready, t) + int64(h.cfg.LLC.LatencyData)
-		h.llc.Promote(paddr)
-		h.markUpper(r.Core, paddr)
-		h.installPrefetch(r.Core, paddr, dtype, complete, r.FillL1)
-		h.stats.PrefetchIssuedByType[dtype]++
-		return
-	}
-	t += int64(h.cfg.LLC.LatencyTag)
-	complete := h.mc.Access(dram.Request{
-		Addr:     paddr,
-		VAddr:    vline,
-		CoreID:   r.Core,
-		Prefetch: true,
-		CBit:     r.CBit,
-		DType:    dtype,
-	}, t)
-	h.fillLLC(paddr, dtype, complete, true)
-	h.markUpper(r.Core, paddr)
-	h.installPrefetch(r.Core, paddr, dtype, complete, r.FillL1)
-	h.stats.PrefetchIssuedByType[dtype]++
-}
-
-// installPrefetch places a prefetched line into the private L2 (and L1
-// for the monolithic arrangement), maintaining inclusion bookkeeping.
-//
-//droplet:addr paddr byte
-func (h *Hierarchy) installPrefetch(core int, paddr mem.Addr, dtype mem.DataType, readyAt int64, fillL1 bool) {
-	if l2 := h.l2[core]; l2 != nil {
-		v := l2.Fill(paddr, dtype, readyAt, true)
-		if v.Valid {
-			if v.Dirty {
-				h.llc.MarkDirty(v.Addr)
-			}
-			if lv := h.l1[core].Invalidate(v.Addr); lv.Valid && lv.Dirty {
-				h.llc.MarkDirty(v.Addr)
-			}
-		}
-	}
-	if fillL1 || h.l2[core] == nil {
-		v := h.l1[core].Fill(paddr, dtype, readyAt, true)
-		if v.Valid && v.Dirty {
-			if h.l2[core] != nil {
-				h.l2[core].MarkDirty(v.Addr)
-			} else {
-				h.llc.MarkDirty(v.Addr)
-			}
-		}
+	if !h.CopyLLCToL2(r.Core, paddr, dtype, now, r.FillL1) {
+		h.dramPrefetch(r, paddr, vline, dtype, now+int64(h.cfg.LLC.LatencyTag))
 	}
 }
 
@@ -758,28 +702,30 @@ func (h *Hierarchy) LineOnChip(paddr mem.Addr) bool {
 
 // CopyLLCToL2 implements prefetch.Chip (Fig. 8: on-chip property line
 // copied from the inclusive LLC into the requesting core's private L2).
-// Lines already resident in the destination cache are left untouched.
+// Lines already resident in the destination cache are left untouched,
+// and it reports whether the line was on chip at all: the hierarchy is
+// inclusive, so a line in the destination cache is in the LLC too.
 //
 //droplet:hotpath
 //droplet:addr paddr byte
-func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool) {
+func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool) bool {
 	dest := h.l1[core]
 	if l2 := h.l2[core]; l2 != nil && !fillL1 {
 		dest = l2
 	}
 	if _, resident := dest.Lookup(paddr); resident {
 		h.stats.PrefetchFilteredOnChip++
-		return
+		return true
 	}
 	ready, resident := h.llc.Lookup(paddr)
 	if !resident {
-		return // raced with an eviction between probe and copy
+		return false
 	}
 	h.llc.Promote(paddr)
-	h.markUpper(core, paddr)
 	complete := max64(ready, now) + int64(h.cfg.LLC.LatencyData)
-	h.installPrefetch(core, paddr, dtype, complete, fillL1)
+	h.install(core, paddr, dtype, complete, true, fillL1, true, false)
 	h.stats.PrefetchIssuedByType[dtype]++
+	return true
 }
 
 // IssueDRAMPrefetch implements prefetch.Chip (Fig. 8: off-chip property
@@ -789,16 +735,29 @@ func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, no
 //droplet:addr paddr byte
 //droplet:addr vaddr byte
 func (h *Hierarchy) IssueDRAMPrefetch(core int, paddr, vaddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool) int64 {
-	complete := h.mc.Access(dram.Request{
+	return h.dramPrefetch(prefetch.Req{Core: core, FillL1: fillL1}, paddr, vaddr, dtype, now)
+}
+
+// dramPrefetch reads the line of prefetch r from DRAM into the LLC and,
+// unless r is LLC-only, installs it into r.Core's private caches. The
+// read carries r's C-bit, so the MPP can react to its refill. It returns
+// the fill's completion time.
+//
+//droplet:addr paddr byte
+//droplet:addr vline byte
+func (h *Hierarchy) dramPrefetch(r prefetch.Req, paddr, vline mem.Addr, dtype mem.DataType, now int64) int64 {
+	complete := h.read(dram.Request{
 		Addr:     paddr,
-		VAddr:    vaddr,
-		CoreID:   core,
+		VAddr:    vline,
+		CoreID:   r.Core,
 		Prefetch: true,
+		CBit:     r.CBit,
 		DType:    dtype,
 	}, now)
 	h.fillLLC(paddr, dtype, complete, true)
-	h.markUpper(core, paddr)
-	h.installPrefetch(core, paddr, dtype, complete, fillL1)
+	if !r.LLCOnly {
+		h.install(r.Core, paddr, dtype, complete, true, r.FillL1, true, false)
+	}
 	h.stats.PrefetchIssuedByType[dtype]++
 	return complete
 }

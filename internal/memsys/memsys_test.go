@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math"
 	"testing"
 
 	"droplet/internal/cache"
@@ -309,6 +310,51 @@ func TestDeferredRefillDelivery(t *testing.T) {
 	}
 	if got[0].VAddr != mem.LineAddr(fx.str.Base) {
 		t.Errorf("refill vaddr = %#x", got[0].VAddr)
+	}
+}
+
+// TestRefillSubscription: once a refill subscriber exists, every DRAM
+// read buffers a refill carrying its request's line addresses, core,
+// prefetch and C-bit flags, data type, and issue and completion times;
+// writebacks never refill, and with no subscriber nothing is buffered.
+func TestRefillSubscription(t *testing.T) {
+	cfg := tinyConfig(4)
+	cfg.LLC = cache.Config{Name: "LLC", SizeBytes: 2 * mem.LineSize, Assoc: 2, LatencyTag: 10, LatencyData: 30}
+	cfg.L2 = cache.Config{Name: "L2", SizeBytes: 2 * mem.LineSize, Assoc: 2, LatencyTag: 3, LatencyData: 8}
+	cfg.L1 = cache.Config{Name: "L1", SizeBytes: 2 * mem.LineSize, Assoc: 2, LatencyTag: 1, LatencyData: 4}
+	fx := newFixture(t, cfg)
+
+	fx.h.Access(0, fx.prop.Base, mem.Property, true, 0) // a store: dirty in L1
+	if n := len(fx.h.pending); n != 0 {
+		t.Fatalf("%d refills buffered with no subscriber", n)
+	}
+
+	var got []dram.Refill
+	fx.h.SubscribeRefill(func(r dram.Refill) { got = append(got, r) })
+	done := fx.h.read(dram.Request{Addr: 0x1234, VAddr: 0x5678, CoreID: 2, Prefetch: true, CBit: true, DType: mem.Structure}, 5)
+	// Two more lines evict the dirty one from the two-line LLC.
+	fx.h.Access(1, fx.prop.Base+mem.LineSize, mem.Property, false, 1000)
+	fx.h.Access(1, fx.prop.Base+2*mem.LineSize, mem.Property, false, 2000)
+	fx.h.drainRefills(math.MaxInt64)
+
+	st := fx.h.MC().Stats()
+	if st.Writes != 1 {
+		t.Fatalf("writebacks = %d, want 1", st.Writes)
+	}
+	if len(got) != 3 || st.Reads != 4 {
+		t.Fatalf("refills = %d over %d reads, want 3 (every read after subscribing)", len(got), st.Reads)
+	}
+	want := dram.Refill{
+		Addr: mem.LineAddr(0x1234), VAddr: mem.LineAddr(0x5678), CoreID: 2,
+		Prefetch: true, CBit: true, DType: mem.Structure, ReadyAt: done, IssuedAt: 5,
+	}
+	if got[0] != want {
+		t.Errorf("refill = %+v, want %+v", got[0], want)
+	}
+	for _, r := range got[1:] {
+		if r.CoreID != 1 || r.Prefetch || r.CBit || r.DType != mem.Property || r.ReadyAt <= r.IssuedAt {
+			t.Errorf("demand refill = %+v", r)
+		}
 	}
 }
 

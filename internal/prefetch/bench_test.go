@@ -63,8 +63,8 @@ func BenchmarkMPPOnRefill(b *testing.B) {
 
 type benchChip struct{}
 
-func (benchChip) LineOnChip(mem.Addr) bool                             { return false }
-func (benchChip) CopyLLCToL2(int, mem.Addr, mem.DataType, int64, bool) {}
+func (benchChip) LineOnChip(mem.Addr) bool                                  { return false }
+func (benchChip) CopyLLCToL2(int, mem.Addr, mem.DataType, int64, bool) bool { return false }
 func (benchChip) IssueDRAMPrefetch(core int, p, v mem.Addr, dt mem.DataType, now int64, f bool) int64 {
 	return now + 100
 }

@@ -200,13 +200,3 @@ func TestVLDPInvalidConfigPanics(t *testing.T) {
 	}()
 	NewVLDP(VLDPConfig{})
 }
-
-func TestNopPrefetcher(t *testing.T) {
-	var n Nop
-	if n.Name() != "nopf" {
-		t.Error("bad name")
-	}
-	if reqs := n.Observe(miss(0x1000), nil); reqs != nil {
-		t.Error("nop prefetched")
-	}
-}

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"slices"
+
 	"droplet/internal/dram"
 	"droplet/internal/mem"
 )
@@ -80,6 +82,48 @@ type PropArray struct {
 // keeping the refill path allocation-free.
 type LineScanner func(vline mem.Addr, ids []uint32) []uint32
 
+// pag is the property address generator both property engines (the MPP
+// and Pickle) embed: it scans a structure line's neighbor IDs, maps each
+// in-bounds ID through every registered property array, and yields each
+// distinct property line once per trigger, in scan order.
+type pag struct {
+	scan  LineScanner
+	props []PropArray
+	ids   []uint32 // scan scratch, reused across triggers
+	//droplet:addr byte
+	lines []mem.Addr // output scratch; tiny, so a linear dedup beats a map
+}
+
+func newPAG(scan LineScanner, props []PropArray) pag {
+	return pag{
+		scan:  scan,
+		props: props,
+		ids:   make([]uint32, 0, mem.LineSize/4),
+		lines: make([]mem.Addr, 0, 32),
+	}
+}
+
+// propertyLines returns the distinct property lines the structure line
+// at vline points to. The slice is scratch, valid until the next call.
+//
+//droplet:hotpath
+//droplet:addr vline byte
+func (g *pag) propertyLines(vline mem.Addr) []mem.Addr {
+	g.lines = g.lines[:0]
+	g.ids = g.scan(vline, g.ids[:0])
+	for _, id := range g.ids {
+		for _, p := range g.props {
+			if uint64(id) >= p.Count {
+				continue
+			}
+			if l := mem.LineAddr(p.Base + uint64(id)*p.Elem); !slices.Contains(g.lines, l) {
+				g.lines = append(g.lines, l)
+			}
+		}
+	}
+	return g.lines
+}
+
 // Chip is the MPP's interface to the on-chip hierarchy: the coherence
 // engine probe and the two property-prefetch delivery paths of Fig. 8.
 type Chip interface {
@@ -87,8 +131,9 @@ type Chip interface {
 	// inclusive LLC (which covers all private caches).
 	LineOnChip(paddr mem.Addr) bool
 	// CopyLLCToL2 copies an LLC-resident line into core's private L2
-	// (and optionally L1), completing at a time of the chip's choosing.
-	CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool)
+	// (and optionally L1), completing at a time of the chip's choosing;
+	// it reports whether the line was on chip.
+	CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool) bool
 	// IssueDRAMPrefetch queues a property prefetch read at the MC,
 	// filling the LLC and core's private L2 (and optionally L1); it
 	// returns the fill completion time.
@@ -112,18 +157,14 @@ type MPPStats struct {
 // Reqs, because its pipeline runs at refill completion, not demand time.
 type MPP struct {
 	MCShared
-	cfg   MPPConfig
-	chip  Chip
-	as    *mem.AddressSpace
-	scan  LineScanner
-	props []PropArray
-	mtlb  *mem.TLB
+	pag
+	cfg  MPPConfig
+	chip Chip
+	as   *mem.AddressSpace
+	mtlb *mem.TLB
 
 	inflight []int64 // completion times of outstanding DRAM prefetches
-	//droplet:addr byte
-	seen  []mem.Addr // per-refill dedup scratch; tiny, so a linear scan beats a map
-	ids   []uint32   // scan scratch buffer, reused across refills
-	stats MPPStats
+	stats    MPPStats
 }
 
 // NewMPP builds an MPP. scan and props come from the workload layout
@@ -134,14 +175,11 @@ func NewMPP(cfg MPPConfig, as *mem.AddressSpace, scan LineScanner, props []PropA
 		panic("prefetch: bad MPP config")
 	}
 	return &MPP{
+		pag:      newPAG(scan, props),
 		cfg:      cfg,
 		as:       as,
-		scan:     scan,
-		props:    props,
 		mtlb:     mem.NewTLB(cfg.MTLBEntries),
-		seen:     make([]mem.Addr, 0, 32),
 		inflight: make([]int64, 0, cfg.VABEntries),
-		ids:      make([]uint32, 0, mem.LineSize/4),
 	}
 }
 
@@ -202,28 +240,8 @@ func (m *MPP) OnRefill(r dram.Refill) {
 	}
 	m.stats.Triggers++
 	base := r.ReadyAt + m.cfg.ExtraTriggerDelay + m.cfg.PAGLatency
-
-	m.seen = m.seen[:0]
-	m.ids = m.scan(r.VAddr, m.ids[:0])
-	for _, id := range m.ids {
-		for _, p := range m.props {
-			if uint64(id) >= p.Count {
-				continue
-			}
-			vline := mem.LineAddr(p.Base + uint64(id)*p.Elem)
-			dup := false
-			for _, s := range m.seen {
-				if s == vline {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			m.seen = append(m.seen, vline)
-			m.prefetchLine(r.CoreID, vline, base)
-		}
+	for _, vline := range m.propertyLines(r.VAddr) {
+		m.prefetchLine(r.CoreID, vline, base)
 	}
 }
 

@@ -17,9 +17,10 @@ type fakeChip struct {
 }
 
 func (f *fakeChip) LineOnChip(p mem.Addr) bool { return f.onChip[p] }
-func (f *fakeChip) CopyLLCToL2(core int, p mem.Addr, dt mem.DataType, now int64, fillL1 bool) {
+func (f *fakeChip) CopyLLCToL2(core int, p mem.Addr, dt mem.DataType, now int64, fillL1 bool) bool {
 	f.copies = append(f.copies, p)
 	f.fillL1s = append(f.fillL1s, fillL1)
+	return f.onChip[p]
 }
 func (f *fakeChip) IssueDRAMPrefetch(core int, p, v mem.Addr, dt mem.DataType, now int64, fillL1 bool) int64 {
 	f.issues = append(f.issues, p)

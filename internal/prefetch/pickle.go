@@ -44,19 +44,15 @@ type PickleStats struct {
 	DroppedDegree      uint64 // over the per-trigger cap
 }
 
-// Pickle attaches at the shared LLC with cross-core scope.
+// Pickle attaches at the shared LLC, observing every core's misses.
 type Pickle struct {
 	LLCShared
-	cfg   PickleConfig
-	scan  LineScanner
-	props []PropArray
-	// recent and seen hold previously-issued line-aligned addresses.
+	pag
+	cfg PickleConfig
+	// recent holds previously-issued line-aligned addresses.
 	//droplet:addr byte
 	recent []mem.Addr
-	//droplet:addr byte
-	seen  []mem.Addr
-	ids   []uint32 // scan scratch buffer, reused across triggers
-	stats PickleStats
+	stats  PickleStats
 }
 
 // NewPickle builds the engine. scan and props come from the workload
@@ -66,12 +62,9 @@ func NewPickle(cfg PickleConfig, scan LineScanner, props []PropArray) *Pickle {
 		panic("prefetch: pickle needs positive degree and power-of-two window")
 	}
 	return &Pickle{
+		pag:    newPAG(scan, props),
 		cfg:    cfg,
-		scan:   scan,
-		props:  props,
 		recent: make([]mem.Addr, cfg.WindowLines),
-		seen:   make([]mem.Addr, 0, 32),
-		ids:    make([]uint32, 0, mem.LineSize/4),
 	}
 }
 
@@ -93,46 +86,26 @@ func (p *Pickle) Observe(ev AccessInfo, reqs []Req) []Req {
 	}
 	p.stats.Triggers++
 
-	p.seen = p.seen[:0]
-	p.ids = p.scan(ev.VAddr, p.ids[:0])
 	issued := 0
-	for _, id := range p.ids {
-		for _, pr := range p.props {
-			if uint64(id) >= pr.Count {
-				continue
-			}
-			vline := mem.LineAddr(pr.Base + uint64(id)*pr.Elem)
-			dup := false
-			for _, s := range p.seen {
-				if s == vline {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			p.seen = append(p.seen, vline)
-
-			slot := (vline >> mem.LineShift) & uint64(p.cfg.WindowLines-1)
-			if p.recent[slot] == vline {
-				p.stats.DroppedWindow++
-				continue
-			}
-			if issued >= p.cfg.MaxPerTrigger {
-				p.stats.DroppedDegree++
-				continue
-			}
-			p.recent[slot] = vline
-			reqs = append(reqs, Req{
-				Core:    ev.Core,
-				VAddr:   vline,
-				LLCOnly: true,
-				Delay:   p.cfg.KernelLatency,
-			})
-			p.stats.Issued++
-			issued++
+	for _, vline := range p.propertyLines(ev.VAddr) {
+		slot := (vline >> mem.LineShift) & uint64(p.cfg.WindowLines-1)
+		if p.recent[slot] == vline {
+			p.stats.DroppedWindow++
+			continue
 		}
+		if issued >= p.cfg.MaxPerTrigger {
+			p.stats.DroppedDegree++
+			continue
+		}
+		p.recent[slot] = vline
+		reqs = append(reqs, Req{
+			Core:    ev.Core,
+			VAddr:   vline,
+			LLCOnly: true,
+			Delay:   p.cfg.KernelLatency,
+		})
+		p.stats.Issued++
+		issued++
 	}
 	return reqs
 }

@@ -6,11 +6,11 @@
 // cross-core LLC property engine the comparison matrix adds.
 //
 // All of them share one level-agnostic seam: an Engine declares where it
-// taps the hierarchy (Level) and whose traffic it sees (Scope), and the
-// memory system wires it at hierarchy-build time. L2- and LLC-attached
-// engines observe demand events through Observe and return prefetch
-// candidates the memory system executes; MC-attached engines (the MPP)
-// instead react to completed DRAM refills through RefillEngine.
+// taps the hierarchy (Level), which also fixes whose traffic it sees, and
+// the memory system wires it at hierarchy-build time. L2- and
+// LLC-attached engines observe demand events through Observe and return
+// prefetch candidates the memory system executes; MC-attached engines
+// (the MPP) instead react to completed DRAM refills through RefillEngine.
 package prefetch
 
 import (
@@ -25,15 +25,16 @@ type Level uint8
 
 const (
 	// AttachL2 taps one core's private-L2 request queue: the engine
-	// observes that core's L1-miss stream (the snoop point of Fig. 9).
+	// observes that core's L1-miss stream (the snoop point of Fig. 9),
+	// and the hierarchy holds one instance per core.
 	AttachL2 Level = iota
-	// AttachLLC taps the shared LLC: the engine observes the merged
+	// AttachLLC taps the shared LLC: one instance observes the merged
 	// cross-core demand stream that missed the private levels, with the
 	// LLC lookup outcome attached (AccessInfo.LLCHit).
 	AttachLLC
-	// AttachMC taps the memory controller: the engine reacts to DRAM
-	// refill completions (it must implement RefillEngine; Observe is
-	// never called there).
+	// AttachMC taps the memory controller: one instance reacts to every
+	// core's DRAM refill completions (it must implement RefillEngine;
+	// Observe is never called there).
 	AttachMC
 )
 
@@ -48,30 +49,6 @@ func (l Level) String() string {
 		return "MC"
 	default:
 		return fmt.Sprintf("Level(%d)", uint8(l))
-	}
-}
-
-// Scope identifies whose traffic an engine observes.
-type Scope uint8
-
-const (
-	// ScopeLocal engines see a single core's stream; the hierarchy holds
-	// one instance per core.
-	ScopeLocal Scope = iota
-	// ScopeShared engines see the merged stream of every core; the
-	// hierarchy holds a single instance.
-	ScopeShared
-)
-
-// String implements fmt.Stringer.
-func (s Scope) String() string {
-	switch s {
-	case ScopeLocal:
-		return "local"
-	case ScopeShared:
-		return "shared"
-	default:
-		return fmt.Sprintf("Scope(%d)", uint8(s))
 	}
 }
 
@@ -128,16 +105,15 @@ type Req struct {
 
 // Engine is the level-agnostic interface of every prefetch engine. The
 // hierarchy wires engines at build time according to their declared
-// Level/Scope (memsys.Hierarchy.AttachEngine) instead of hardwiring an
-// L2-only call site.
+// Level (memsys.Hierarchy.AttachEngine) instead of hardwiring an L2-only
+// call site.
 type Engine interface {
 	// Name identifies the engine in stats and experiment output.
 	Name() string
-	// Level declares the attachment point; Scope declares the observed
-	// traffic. Wiring validates the combination: AttachL2 engines are
-	// ScopeLocal, AttachLLC and AttachMC engines are ScopeShared.
+	// Level declares the attachment point, and with it the observed
+	// traffic: one core's stream at AttachL2, every core's at AttachLLC
+	// and AttachMC.
 	Level() Level
-	Scope() Scope
 	// Observe sees one demand event at the engine's attachment point and
 	// appends any prefetch requests to issue now onto reqs, returning the
 	// extended slice. The caller owns the buffer and reuses it across
@@ -161,42 +137,22 @@ type RefillEngine interface {
 type ChipBinder interface{ Bind(Chip) }
 
 // L2Local declares a per-core private-L2 attachment; embed it to satisfy
-// the Level/Scope half of Engine at zero size and zero dispatch cost.
+// the Level half of Engine at zero size and zero dispatch cost.
 type L2Local struct{}
 
 // Level implements Engine.
 func (L2Local) Level() Level { return AttachL2 }
 
-// Scope implements Engine.
-func (L2Local) Scope() Scope { return ScopeLocal }
-
 // LLCShared declares a shared-LLC attachment (the merged cross-core
-// demand stream); embed it to satisfy the Level/Scope half of Engine.
+// demand stream); embed it to satisfy the Level half of Engine.
 type LLCShared struct{}
 
 // Level implements Engine.
 func (LLCShared) Level() Level { return AttachLLC }
 
-// Scope implements Engine.
-func (LLCShared) Scope() Scope { return ScopeShared }
-
 // MCShared declares a memory-controller attachment (refill reactions);
-// embed it to satisfy the Level/Scope half of Engine.
+// embed it to satisfy the Level half of Engine.
 type MCShared struct{}
 
 // Level implements Engine.
 func (MCShared) Level() Level { return AttachMC }
-
-// Scope implements Engine.
-func (MCShared) Scope() Scope { return ScopeShared }
-
-// Nop is the no-prefetch baseline.
-type Nop struct{ L2Local }
-
-// Name implements Engine.
-func (Nop) Name() string { return "nopf" }
-
-// Observe implements Engine.
-//
-//droplet:hotpath
-func (Nop) Observe(_ AccessInfo, reqs []Req) []Req { return reqs }

@@ -12,11 +12,12 @@
 // a client disconnect cancels the underlying simulation once no other
 // waiter wants its result. Result bodies are encoded exactly once and
 // served verbatim afterwards, so repeated requests return byte-identical
-// bytes — the cache-hit contract CI's service smoke job pins.
+// bytes — the cache-hit contract CI's service smoke job pins. Telemetry
+// streams are never buffered: every /v1/stream request replays live and
+// holds one epoch record at a time.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,11 +33,6 @@ import (
 	"droplet/internal/telemetry"
 )
 
-// maxStreamCache bounds the completed telemetry streams kept in memory.
-// Streams are the big artifact (MBs per run, vs ~1 KB per result), so
-// the cache is a small FIFO; evicted hashes just re-simulate.
-const maxStreamCache = 32
-
 // Metrics is the monotonic counter set /metrics reports.
 type Metrics struct {
 	Requests     atomic.Int64
@@ -45,7 +41,6 @@ type Metrics struct {
 	SimErrors    atomic.Int64
 	BadRequests  atomic.Int64
 	Streams      atomic.Int64
-	StreamHits   atomic.Int64
 	Cancellation atomic.Int64
 }
 
@@ -57,22 +52,13 @@ type result struct {
 	req  simreq.Request
 }
 
-// stream is one in-flight or completed telemetry replay.
-type stream struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
 // Server is the HTTP facade over one exp.Suite.
 type Server struct {
 	suite *exp.Suite
 	mux   *http.ServeMux
 
-	mu          sync.Mutex
-	results     map[string]*result
-	streams     map[string]*stream
-	streamOrder []string // FIFO of cached (completed) stream hashes
+	mu      sync.Mutex
+	results map[string]*result
 
 	metrics Metrics
 }
@@ -86,7 +72,6 @@ func New(suite *exp.Suite) *Server {
 		suite:   suite,
 		mux:     http.NewServeMux(),
 		results: make(map[string]*result),
-		streams: make(map[string]*stream),
 	}
 	s.mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	s.mux.HandleFunc("GET /v1/results/{hash}", s.handleResult)
@@ -111,7 +96,6 @@ func (s *Server) MetricsSnapshot() map[string]int64 {
 		"sim_errors_total":    s.metrics.SimErrors.Load(),
 		"bad_requests_total":  s.metrics.BadRequests.Load(),
 		"streams_total":       s.metrics.Streams.Load(),
-		"stream_hits_total":   s.metrics.StreamHits.Load(),
 		"cancellations_total": s.metrics.Cancellation.Load(),
 	}
 }
@@ -267,72 +251,38 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // handleStream replays the simulation behind a completed hash with the
 // epoch telemetry observer attached and streams the JSONL records as
 // epochs retire. The observer is non-perturbing, so the replay's result
-// matches the cached one bit for bit. Completed streams are cached (a
-// bounded FIFO) and concurrent requests for one hash collapse onto a
-// single replay: the first requester streams live, joiners get the
-// buffered bytes on completion.
+// matches the cached one bit for bit, and its stream is byte-identical
+// across requests. Nothing is buffered: a stream's size grows with the
+// run's length over its epoch, which the request chooses.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Requests.Add(1)
 	s.metrics.Streams.Add(1)
 	hash := r.PathValue("hash")
 	s.mu.Lock()
 	res, ok := s.results[hash]
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("serve: no result for hash %q (POST /v1/simulate first)", hash)})
 		return
 	}
-	if st, ok := s.streams[hash]; ok {
-		s.mu.Unlock()
-		<-st.done
-		if st.err != nil {
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: st.err.Error()})
-			return
-		}
-		s.metrics.StreamHits.Add(1)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Cache", "hit")
-		w.Write(st.data)
-		return
-	}
-	st := &stream{done: make(chan struct{})}
-	s.streams[hash] = st
-	s.mu.Unlock()
 
-	// First requester: run the replay, teeing each record to the live
-	// response and to the buffer later joiners (and the cache) read.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Cache", "miss")
-	var buf bytes.Buffer
 	flusher, _ := w.(http.Flusher)
-	out := io.MultiWriter(&buf, w)
-	sink := &flushSink{enc: json.NewEncoder(out), flusher: flusher}
-	_, err := s.suite.SimTelemetry(r.Context(), res.req, sink)
-
-	s.mu.Lock()
-	st.data, st.err = buf.Bytes(), err
-	if err != nil {
-		// Failed (or client-cancelled) replays are not cached: drop the
-		// stream entry so the next request retries.
-		delete(s.streams, hash)
-	} else {
-		s.streamOrder = append(s.streamOrder, hash)
-		if len(s.streamOrder) > maxStreamCache {
-			evict := s.streamOrder[0]
-			s.streamOrder = s.streamOrder[1:]
-			delete(s.streams, evict)
-		}
+	sink := &flushSink{enc: json.NewEncoder(w), flusher: flusher}
+	if _, err := s.suite.SimTelemetry(r.Context(), res.req, sink); err != nil && !sink.began {
+		// Nothing is written yet, so the failure can still be the status.
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
-	close(st.done)
-	s.mu.Unlock()
 }
 
 // flushSink is a telemetry sink that encodes JSONL and flushes the HTTP
 // response after every record, so clients observe epochs as they retire
-// rather than at simulation end.
+// rather than at simulation end. began records that writing (and with it
+// the 200 status) has started.
 type flushSink struct {
 	enc     *json.Encoder
 	flusher http.Flusher
+	began   bool
 }
 
 type metaLine struct {
@@ -340,6 +290,7 @@ type metaLine struct {
 }
 
 func (s *flushSink) Begin(meta *telemetry.RunMeta) error {
+	s.began = true
 	if err := s.enc.Encode(metaLine{Meta: meta}); err != nil {
 		return err
 	}

@@ -260,8 +260,7 @@ func TestSimulateCancelledContext(t *testing.T) {
 }
 
 // TestStreamEndpoint checks /v1/stream: 404 before the result exists, a
-// valid JSONL epoch stream after, and a byte-identical cache hit on
-// replay.
+// valid JSONL epoch stream after, and a byte-identical second replay.
 func TestStreamEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 	hash, err := simreq.Request{Benchmark: "CC-kron", EpochCycles: 20000}.Hash()
@@ -301,11 +300,24 @@ func TestStreamEndpoint(t *testing.T) {
 
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stream/"+hash, nil))
-	if rec.Header().Get("X-Cache") != "hit" {
-		t.Errorf("replayed stream X-Cache = %q, want hit", rec.Header().Get("X-Cache"))
-	}
 	if rec.Body.String() != first {
 		t.Error("replayed stream is not byte-identical")
+	}
+}
+
+// TestStreamFailsBeforeMeta: a replay that fails before its meta line is
+// written answers 500 with a JSON error, not an empty 200.
+func TestStreamFailsBeforeMeta(t *testing.T) {
+	srv, _ := newTestServer(t)
+	srv.results["broken"] = &result{req: simreq.Request{Benchmark: "PR-nope"}}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stream/broken", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("failed replay: status %d, want 500: %s", rec.Code, rec.Body.String())
+	}
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+		t.Errorf("failed replay body %q is not a JSON error (%v)", rec.Body.String(), err)
 	}
 }
 

@@ -1,9 +1,15 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"droplet/internal/memsys"
 )
 
 func validCore(start, end int64) CoreEpoch {
@@ -123,6 +129,61 @@ func TestValidateJSONLRejects(t *testing.T) {
 	if _, _, err := ValidateJSONL(strings.NewReader("{\"epoch\":0}\n")); err == nil {
 		t.Error("stream without meta line accepted")
 	}
+	for _, cores := range []int{memsys.MaxCores + 1, 4000000000} {
+		if _, _, err := ValidateJSONL(strings.NewReader(wideMeta(cores))); err == nil {
+			t.Errorf("meta line with %d cores accepted", cores)
+		}
+	}
+}
+
+// wideMeta is a lone meta line claiming the given core count.
+func wideMeta(cores int) string {
+	return fmt.Sprintf(`{"meta":{"prefetcher":"nopf","cores":%d,"epoch_cycles":100,"levels":["L1","L2","L3","DRAM"]}}`+"\n", cores)
+}
+
+// FuzzValidateJSONL checks that ValidateJSONL never panics (nor sizes
+// anything from an untrusted count), and that a stream it accepts still
+// validates to the same meta and record count after its meta line is
+// re-encoded.
+func FuzzValidateJSONL(f *testing.F) {
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	meta := RunMeta{Benchmark: "b", Prefetcher: "nopf", Cores: 2, EpochCycles: 100}
+	meta.FillLabels()
+	if err := sink.Begin(&meta); err != nil {
+		f.Fatal(err)
+	}
+	for i := int64(0); i < 2; i++ {
+		if err := sink.Emit(synthRecord(i, i*100, (i+1)*100, 2, i == 1)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(wideMeta(4000000000)))
+	f.Add([]byte{})
+	f.Add([]byte("{\"meta\":\x00]\n{{"))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		meta, n, err := ValidateJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := json.NewEncoder(&again).Encode(metaLine{Meta: meta}); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(bytes.NewReader(in))
+		sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+		sc.Scan() // the meta line, replaced above
+		for sc.Scan() {
+			again.Write(sc.Bytes())
+			again.WriteByte('\n')
+		}
+		meta2, n2, err := ValidateJSONL(&again)
+		if err != nil || n2 != n || !reflect.DeepEqual(meta2, meta) {
+			t.Fatalf("accepted stream re-validates to %+v, %d records, %v; want %+v, %d records", meta2, n2, err, meta, n)
+		}
+	})
 }
 
 func TestCSVSink(t *testing.T) {

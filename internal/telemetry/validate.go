@@ -77,8 +77,10 @@ func ValidateJSONL(r io.Reader) (*RunMeta, int, error) {
 		return nil, 0, fmt.Errorf("first line is not a meta line")
 	}
 	meta := ml.Meta
-	if meta.Cores <= 0 {
-		return meta, 0, fmt.Errorf("meta: non-positive core count %d", meta.Cores)
+	if meta.Cores < 1 || meta.Cores > memsys.MaxCores {
+		// The bound also caps the per-core state sized from the count
+		// below, which an untrusted meta line must not choose.
+		return meta, 0, fmt.Errorf("meta: core count %d, want 1 to %d", meta.Cores, memsys.MaxCores)
 	}
 	if len(meta.Levels) != memsys.NumLevels {
 		return meta, 0, fmt.Errorf("meta: %d levels, simulator has %d", len(meta.Levels), memsys.NumLevels)
