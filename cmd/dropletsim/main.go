@@ -351,7 +351,7 @@ func run(rf runFlags, rv simreq.Resolved) error {
 		cfg.L1.SizeBytes>>10, cfg.L2.SizeBytes>>10, cfg.LLC.SizeBytes>>10, cfg.Prefetcher)
 	var r *sim.Result
 	if newSink != nil {
-		r, err = runWithTelemetry(rf, rv.Benchmark.Algo, newSink, simulate, opts, info)
+		r, err = runWithTelemetry(rf, rv, newSink, simulate, opts, info)
 	} else {
 		r, err = simulate(opts)
 	}
@@ -442,24 +442,29 @@ func loadGraph(path string, a workload.Algorithm, info io.Writer) (*graph.CSR, e
 	return g, nil
 }
 
+// runName names the run in its footprint report and telemetry: the
+// registry benchmark, or <algo>-<path> for a -graphfile run.
+func runName(rf runFlags, rv simreq.Resolved) string {
+	if rf.graphEL != "" {
+		return fmt.Sprintf("%v-%s", rv.Benchmark.Algo, rf.graphEL)
+	}
+	return rv.Benchmark.String()
+}
+
 // runWithTelemetry runs simulate under opts with an epoch collector
 // streaming to a sink built by newSink.
-func runWithTelemetry(rf runFlags, a workload.Algorithm, newSink func(io.Writer) telemetry.Sink, simulate func(sim.Options) (*sim.Result, error), opts sim.Options, info io.Writer) (*sim.Result, error) {
+func runWithTelemetry(rf runFlags, rv simreq.Resolved, newSink func(io.Writer) telemetry.Sink, simulate func(sim.Options) (*sim.Result, error), opts sim.Options, info io.Writer) (*sim.Result, error) {
 	outPath := rf.telemOut
 	if outPath == "" {
 		outPath = "telemetry." + rf.telemFormat
-	}
-	benchName := rf.dataset
-	if rf.graphEL != "" {
-		benchName = rf.graphEL
 	}
 	f, err := os.Create(outPath)
 	if err != nil {
 		return nil, err
 	}
 	opts.Observer = telemetry.NewCollector(newSink(f), telemetry.RunMeta{
-		Benchmark: fmt.Sprintf("%v-%s", a, benchName),
-		Kernel:    a.String(),
+		Benchmark: runName(rf, rv),
+		Kernel:    rv.Benchmark.Algo.String(),
 	})
 	r, simErr := simulate(opts)
 	if closeErr := f.Close(); simErr == nil {
@@ -540,7 +545,7 @@ type footprintReport struct {
 // defaulted flag (-cores 0) reports the value the run used.
 func writeFootprint(rf runFlags, rv simreq.Resolved, r *sim.Result, events int64, peak uint64) error {
 	rep := footprintReport{
-		Benchmark:     rv.Benchmark.String(),
+		Benchmark:     runName(rf, rv),
 		Scale:         rv.Scale.String(),
 		Stream:        rf.stream,
 		Cores:         rv.Cores,

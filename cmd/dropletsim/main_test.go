@@ -129,27 +129,36 @@ func TestMatrixRejectsSingleRunFlags(t *testing.T) {
 
 // TestFootprintReportsResolvedRun: the -footprint report names the run
 // that was simulated, not the raw flags: "-cores 0" resolves to the
-// default four cores, and the benchmark carries its canonical name.
+// default four cores, the benchmark carries its canonical name, and a
+// -graphfile run is named after its file, not the -dataset default.
 func TestFootprintReportsResolvedRun(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fp.json")
-	c := parseFlags([]string{"-algo", "pr", "-dataset", "road", "-cores", "0", "-footprint", path})
-	rv, _, err := c.resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFootprint(c.runFlags, rv, &sim.Result{Instructions: 7, Cycles: 9}, 11, 13); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got footprintReport
-	if err := json.Unmarshal(b, &got); err != nil {
-		t.Fatal(err)
-	}
-	want := footprintReport{Benchmark: "PR-road", Scale: "quick", Cores: 4, Events: 11, Instructions: 7, Cycles: 9, PeakHeapInuse: 13}
-	if got != want {
-		t.Errorf("footprint report = %+v, want %+v", got, want)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "pr", "-dataset", "road", "-cores", "0"}, "PR-road"},
+		{[]string{"-algo", "bfs", "-graphfile", "g.el", "-cores", "0"}, "BFS-g.el"},
+	} {
+		path := filepath.Join(t.TempDir(), "fp.json")
+		c := parseFlags(append(tc.args, "-footprint", path))
+		rv, _, err := c.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFootprint(c.runFlags, rv, &sim.Result{Instructions: 7, Cycles: 9}, 11, 13); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got footprintReport
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		want := footprintReport{Benchmark: tc.want, Scale: "quick", Cores: 4, Events: 11, Instructions: 7, Cycles: 9, PeakHeapInuse: 13}
+		if got != want {
+			t.Errorf("%v: footprint report = %+v, want %+v", tc.args, got, want)
+		}
 	}
 }

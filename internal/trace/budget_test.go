@@ -1,7 +1,11 @@
 package trace
 
 import (
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"droplet/internal/mem"
 )
@@ -58,5 +62,83 @@ func TestBarrierRespectsBudget(t *testing.T) {
 	}
 	if got := b.Build().Events(); got != 3 {
 		t.Errorf("post-truncation stored events = %d, want 3", got)
+	}
+}
+
+// TestBuilderAllocation: while a kernel emits, the Builder stores each
+// event once in a fixed-size chunk, and Build copies it once more into
+// the trace's exact-size array, so building a trace allocates about twice
+// its event bytes. A builder that grows each core's slice by append
+// allocates more than five times them and fails the 2.25 bound.
+func TestBuilderAllocation(t *testing.T) {
+	const loads = 1 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b := NewBuilder(nil, 4, 0)
+	for i := range loads {
+		// Cores 0..3 get 1/2, 1/4, 1/8 and 1/8 of the loads.
+		c := 0
+		switch {
+		case i%8 == 7:
+			c = 3
+		case i%8 == 6:
+			c = 2
+		case i%8 >= 4:
+			c = 1
+		}
+		b.Load(c, mem.LineAddrOf(i), mem.Property, NoDep)
+	}
+	b.Barrier()
+	tr := b.Build()
+	runtime.ReadMemStats(&after)
+
+	if got := tr.Events(); got != loads+4 {
+		t.Fatalf("stored events = %d, want %d", got, loads+4)
+	}
+	eventBytes := float64(tr.Events()) * float64(unsafe.Sizeof(Event{}))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / eventBytes
+	t.Logf("allocated %.2fx the trace's %.0f event bytes", ratio, eventBytes)
+	if ratio > 2.25 {
+		t.Errorf("building the trace allocated %.2fx its event bytes, want at most 2.25x", ratio)
+	}
+}
+
+// TestBuildStreamsAreDisjoint: each core's stream is a capacity-clipped
+// window of one array, holding its events in emission order across chunk
+// boundaries, so appending to one core's stream cannot overwrite the next
+// core's events; a core with no events keeps a nil stream; and Build is
+// repeatable.
+func TestBuildStreamsAreDisjoint(t *testing.T) {
+	b := NewBuilder(nil, 3, 0)
+	for i := range 3*chunkEvents + 5 {
+		b.Load(i%2, mem.LineAddrOf(i), mem.Structure, NoDep)
+	}
+	tr := b.Build()
+
+	if tr.PerCore[2] != nil {
+		t.Errorf("core 2 emitted nothing but has a %d-event stream", len(tr.PerCore[2]))
+	}
+	for c, stream := range tr.PerCore[:2] {
+		if cap(stream) != len(stream) {
+			t.Errorf("core %d: cap %d != len %d", c, cap(stream), len(stream))
+		}
+		for k, ev := range stream {
+			if want := mem.LineAddrOf(2*k + c); ev.Addr != want {
+				t.Fatalf("core %d event %d: addr %#x, want %#x", c, k, ev.Addr, want)
+			}
+		}
+	}
+
+	next := slices.Clone(tr.PerCore[1])
+	grown := append(tr.PerCore[0], Event{Addr: 1, Dep: NoDep, Kind: KindStore})
+	if &grown[0] == &tr.PerCore[0][0] {
+		t.Error("appending to core 0's stream did not reallocate it")
+	}
+	if !slices.Equal(tr.PerCore[1], next) {
+		t.Error("appending to core 0's stream changed core 1's events")
+	}
+	if again := b.Build(); !reflect.DeepEqual(again, tr) {
+		t.Error("a second Build differs from the first")
 	}
 }

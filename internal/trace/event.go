@@ -96,11 +96,40 @@ func (t *Trace) Events() int64 {
 // It is the materialized Sink implementation; the budget/instruction
 // bookkeeping lives in the shared acct so the streaming generator
 // truncates identically (see sink.go).
+//
+// While a kernel emits, each core's events go into fixed-size chunks
+// that are never regrown, so no event is copied until Build copies each
+// once into one array of exactly the trace's length.
 type Builder struct {
 	layout  *Layout
-	cores   [][]Event
+	cores   []coreEvents
 	a       acct
 	depSpan int // longest i - Dep emitted so far (Trace.DepSpan)
+}
+
+// chunkEvents is the size of one emission chunk: 8 Ki events, 128 KiB.
+const chunkEvents = 8 << 10
+
+// coreEvents is one core's emitted events: the full chunks in emission
+// order, the chunk being filled, and the number of events emitted so far
+// (the next event's index).
+type coreEvents struct {
+	full [][]Event
+	cur  []Event
+	n    int32
+}
+
+// push appends ev to the core's stream and returns its index.
+func (ce *coreEvents) push(ev Event) int32 {
+	if len(ce.cur) == cap(ce.cur) {
+		if ce.cur != nil {
+			ce.full = append(ce.full, ce.cur)
+		}
+		ce.cur = make([]Event, 0, chunkEvents)
+	}
+	ce.cur = append(ce.cur, ev)
+	ce.n++
+	return ce.n - 1
 }
 
 // NewBuilder returns a builder for numCores streams with the given total
@@ -108,7 +137,7 @@ type Builder struct {
 func NewBuilder(layout *Layout, numCores int, budget int64) *Builder {
 	return &Builder{
 		layout: layout,
-		cores:  make([][]Event, numCores),
+		cores:  make([]coreEvents, numCores),
 		a:      newAcct(numCores, budget),
 	}
 }
@@ -131,9 +160,8 @@ func (b *Builder) Load(c int, addr mem.Addr, dt mem.DataType, dep int32) int32 {
 	if !ok {
 		return NoDep
 	}
-	idx := int32(len(b.cores[c]))
+	idx := b.cores[c].push(Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindLoad, DType: dt})
 	b.link(idx, dep)
-	b.cores[c] = append(b.cores[c], Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindLoad, DType: dt})
 	return idx
 }
 
@@ -146,8 +174,7 @@ func (b *Builder) Store(c int, addr mem.Addr, dt mem.DataType, dep int32) {
 	if !ok {
 		return
 	}
-	b.link(int32(len(b.cores[c])), dep)
-	b.cores[c] = append(b.cores[c], Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindStore, DType: dt})
+	b.link(b.cores[c].push(Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindStore, DType: dt}), dep)
 }
 
 // link records the distance from event idx back to its producer dep.
@@ -164,15 +191,40 @@ func (b *Builder) Barrier() {
 		return
 	}
 	for c := range b.cores {
-		b.cores[c] = append(b.cores[c], Event{Dep: NoDep, Comp: b.a.take(c), Kind: KindBarrier})
+		b.cores[c].push(Event{Dep: NoDep, Comp: b.a.take(c), Kind: KindBarrier})
 	}
 }
 
-// Build finalizes the trace.
+// Build finalizes the trace: it copies every core's chunks, in core
+// order, into one array of exactly the trace's length, and each core's
+// part of it becomes its stream (nil for a core with no events). A
+// stream's capacity is clipped to its length, so appending to one core's
+// stream reallocates instead of overwriting the next core's events. The
+// Builder keeps its chunks, so Build may be called again.
 func (b *Builder) Build() *Trace {
+	var total int
+	for c := range b.cores {
+		total += int(b.cores[c].n)
+	}
+	all := make([]Event, total)
+	perCore := make([][]Event, len(b.cores))
+	lo := 0
+	for c := range b.cores {
+		ce := &b.cores[c]
+		if ce.n == 0 {
+			continue
+		}
+		hi := lo
+		for _, ch := range ce.full {
+			hi += copy(all[hi:], ch)
+		}
+		hi += copy(all[hi:], ce.cur)
+		perCore[c] = all[lo:hi:hi]
+		lo = hi
+	}
 	return &Trace{
 		Layout:       b.layout,
-		PerCore:      b.cores,
+		PerCore:      perCore,
 		Instructions: b.a.insts,
 		Truncated:    b.a.trunc,
 		DepSpan:      b.depSpan,

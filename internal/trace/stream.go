@@ -230,8 +230,8 @@ func (cs *CoreSource) Next(recycle []Event) []Event {
 
 // streamSink is the per-producer Sink: full global accounting (shared
 // acct semantics with Builder), but only the target core's events are
-// materialized. counts mirrors len(Builder.cores[c]) so returned dep
-// indices are identical across all cores.
+// materialized. counts mirrors the Builder's per-core event count so
+// returned dep indices are identical across all cores.
 type streamSink struct {
 	a      acct
 	target int
