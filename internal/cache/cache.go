@@ -244,19 +244,36 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 //
 //droplet:addr addr byte
 func (c *Cache) Lookup(addr mem.Addr) (readyAt int64, ok bool) {
-	la := addr >> mem.LineShift
+	idx, ok := c.find(uint64(addr >> mem.LineShift))
+	if !ok {
+		return 0, false
+	}
+	return c.meta[idx].ready, true
+}
+
+// find returns the flat way index holding line la, probing its set's
+// MRU-hinted way before scanning the set, and changes no state; idx means
+// nothing when ok is false. A set holds a line in at most one way (Fill
+// merges a refill of a resident line), so the hinted probe finds the way
+// a plain scan would.
+//
+//droplet:hotpath
+//droplet:addr la line
+func (c *Cache) find(la uint64) (idx int, ok bool) {
 	si := la & c.setMask
 	base := int(si) * c.assoc
 	tags := c.tags[base : base+c.assoc]
-	if w := int(c.mru[si]); tags[w] == uint64(la) {
-		return c.meta[base+w].ready, true
-	}
-	for i, t := range tags {
-		if t == uint64(la) {
-			return c.meta[base+i].ready, true
+	w := int(c.mru[si])
+	if tags[w] != la {
+		w = -1
+		for i, t := range tags {
+			if t == la {
+				w = i
+				break
+			}
 		}
 	}
-	return 0, false
+	return base + w, w >= 0
 }
 
 // Access performs a demand access at time now. On a hit it returns
@@ -277,7 +294,14 @@ func (c *Cache) Access(addr mem.Addr, dtype mem.DataType, write bool, now int64)
 		return c.hit(base+w, dtype, write, now), true
 	}
 	if c.kind != KindLRU {
-		return c.accessPolicy(uint64(la), si, base, dtype, write, now)
+		// No victim memo: non-LRU victim selection has aging side
+		// effects, so it runs exactly once, in Fill.
+		if idx, ok := c.find(uint64(la)); ok {
+			c.mru[si] = uint16(idx - base)
+			return c.hit(idx, dtype, write, now), true
+		}
+		c.stats.DemandMisses[dtype]++
+		return 0, false
 	}
 	// The miss scan doubles as the victim selection for the Fill that
 	// follows (same tie-breaks as Fill's own scan: last invalid way wins,
@@ -304,25 +328,6 @@ func (c *Cache) Access(addr mem.Addr, dtype mem.DataType, write bool, now int64)
 	c.missLA = uint64(la)
 	c.missIdx = base + victimIdx
 	c.missOldest = oldest
-	return 0, false
-}
-
-// accessPolicy is the non-LRU tail of Access after the MRU probe missed:
-// a plain hit scan, with no victim memoization — non-LRU victim selection
-// has aging side effects, so it runs exactly once, in Fill.
-//
-//droplet:hotpath
-//droplet:addr la line
-//droplet:addr si set
-func (c *Cache) accessPolicy(la, si uint64, base int, dtype mem.DataType, write bool, now int64) (readyAt int64, ok bool) {
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == la {
-			c.mru[si] = uint16(i)
-			return c.hit(base+i, dtype, write, now), true
-		}
-	}
-	c.stats.DemandMisses[dtype]++
 	return 0, false
 }
 
@@ -379,20 +384,9 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 		victimIdx = c.missIdx
 		oldest = c.missOldest
 	} else if c.kind != KindLRU {
-		tags := c.tags[base : base+c.assoc]
-		for i, t := range tags {
-			if t == uint64(la) {
-				// Refill of a resident line: same merge semantics as the
-				// LRU scan below.
-				m := &c.meta[base+i]
-				if readyAt < m.ready {
-					m.ready = readyAt
-				}
-				if !prefetch {
-					m.flags &^= flagPrefetched
-				}
-				return Victim{}
-			}
+		if idx, ok := c.find(uint64(la)); ok {
+			c.merge(idx, readyAt, prefetch)
+			return Victim{}
 		}
 		victimIdx, oldest = c.victimWay(base)
 	} else {
@@ -402,16 +396,7 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 		oldest = ^uint64(0)
 		for i, t := range tags {
 			if t == uint64(la) {
-				// Refill of a resident line (e.g. prefetch racing demand):
-				// keep the earlier readiness, merge flags. No memo reset —
-				// readiness and flags play no part in victim choice.
-				m := &c.meta[base+i]
-				if readyAt < m.ready {
-					m.ready = readyAt
-				}
-				if !prefetch {
-					m.flags &^= flagPrefetched
-				}
+				c.merge(base+i, readyAt, prefetch)
 				return Victim{}
 			}
 			if t == noTag {
@@ -466,34 +451,43 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 	return v
 }
 
+// merge folds a refill into the resident line at flat way index idx (a
+// prefetch racing a demand, say): the earlier readiness wins and a demand
+// refill clears the prefetched mark. No memo reset — readiness and flags
+// play no part in victim choice.
+func (c *Cache) merge(idx int, readyAt int64, prefetch bool) {
+	m := &c.meta[idx]
+	if readyAt < m.ready {
+		m.ready = readyAt
+	}
+	if !prefetch {
+		m.flags &^= flagPrefetched
+	}
+}
+
 // Invalidate removes addr if present (inclusive back-invalidation),
 // returning the removed line's state.
 //
 //droplet:addr addr byte
 func (c *Cache) Invalidate(addr mem.Addr) Victim {
-	la := addr >> mem.LineShift
-	si := la & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == uint64(la) {
-			m := &c.meta[base+i]
-			v := Victim{
-				Addr:       mem.Addr(t) << mem.LineShift,
-				Dirty:      m.flags&flagDirty != 0,
-				Valid:      true,
-				Prefetched: m.flags&flagPrefetched != 0,
-				DType:      m.dtype,
-			}
-			if v.Prefetched {
-				c.stats.PrefetchEvictedUnused[v.DType]++
-			}
-			tags[i] = noTag
-			c.missLA = noTag // the freed way could change a memoized victim
-			return v
-		}
+	idx, ok := c.find(uint64(addr >> mem.LineShift))
+	if !ok {
+		return Victim{}
 	}
-	return Victim{}
+	m := &c.meta[idx]
+	v := Victim{
+		Addr:       mem.Addr(c.tags[idx]) << mem.LineShift,
+		Dirty:      m.flags&flagDirty != 0,
+		Valid:      true,
+		Prefetched: m.flags&flagPrefetched != 0,
+		DType:      m.dtype,
+	}
+	if v.Prefetched {
+		c.stats.PrefetchEvictedUnused[v.DType]++
+	}
+	c.tags[idx] = noTag
+	c.missLA = noTag // the freed way could change a memoized victim
+	return v
 }
 
 // MarkUpper ORs bit into a resident line's upper-residency mask (see
@@ -503,19 +497,8 @@ func (c *Cache) Invalidate(addr mem.Addr) Victim {
 //
 //droplet:addr addr byte
 func (c *Cache) MarkUpper(addr mem.Addr, bit uint16) {
-	la := addr >> mem.LineShift
-	si := la & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	if w := int(c.mru[si]); tags[w] == uint64(la) {
-		c.meta[base+w].upper |= bit
-		return
-	}
-	for i, t := range tags {
-		if t == uint64(la) {
-			c.meta[base+i].upper |= bit
-			return
-		}
+	if idx, ok := c.find(uint64(addr >> mem.LineShift)); ok {
+		c.meta[idx].upper |= bit
 	}
 }
 
@@ -524,22 +507,17 @@ func (c *Cache) MarkUpper(addr mem.Addr, bit uint16) {
 //
 //droplet:addr addr byte
 func (c *Cache) Promote(addr mem.Addr) {
-	la := addr >> mem.LineShift
-	si := la & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == uint64(la) {
-			if c.kind == KindLRU {
-				c.tick++
-				c.lrus[base+i] = c.tick
-			} else {
-				c.promoteWay(base + i)
-			}
-			c.missLA = noTag // the recency bump could change a memoized victim
-			return
-		}
+	idx, ok := c.find(uint64(addr >> mem.LineShift))
+	if !ok {
+		return
 	}
+	if c.kind == KindLRU {
+		c.tick++
+		c.lrus[idx] = c.tick
+	} else {
+		c.promoteWay(idx)
+	}
+	c.missLA = noTag // the recency bump could change a memoized victim
 }
 
 // MarkDirty sets the dirty bit of a resident line (used when a writeback
@@ -547,15 +525,8 @@ func (c *Cache) Promote(addr mem.Addr) {
 //
 //droplet:addr addr byte
 func (c *Cache) MarkDirty(addr mem.Addr) {
-	la := addr >> mem.LineShift
-	si := la & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	for i, t := range tags {
-		if t == uint64(la) {
-			c.meta[base+i].flags |= flagDirty
-			return
-		}
+	if idx, ok := c.find(uint64(addr >> mem.LineShift)); ok {
+		c.meta[idx].flags |= flagDirty
 	}
 }
 

@@ -193,47 +193,116 @@ func TestSubLineAddressesShareLine(t *testing.T) {
 }
 
 // TestPropLRUMatchesReferenceModel cross-checks the cache against a naive
-// per-set LRU list model under random access/fill sequences.
+// per-set LRU list model under random sequences of every probe: Access
+// (a miss followed by its Fill), Lookup, Invalidate, Promote and
+// MarkDirty. A deferred miss leaves its Fill until after the next op, so
+// an Invalidate or Promote can land between an Access miss and the Fill
+// that would reuse its memoized victim.
 func TestPropLRUMatchesReferenceModel(t *testing.T) {
 	const (
 		ways = 4
-		sets = 8
+		sets = 2
 		size = ways * sets * mem.LineSize
 	)
 	f := func(ops []uint16) bool {
 		c := newTest(size, ways)
-		// reference: per set, slice of line addrs in MRU..LRU order
+		// reference: per set, slice of line addrs in MRU..LRU order, and
+		// the resident lines a write hit or MarkDirty made dirty
 		ref := make([][]mem.Addr, sets)
-		for _, op := range ops {
-			addr := mem.LineAddrOf(op % 1024)
-			set := int((addr >> mem.LineShift) % sets)
-			write := op&0x8000 != 0
-
-			// reference behaviour
-			refHit := false
-			for i, a := range ref[set] {
+		dirty := map[mem.Addr]bool{}
+		setOf := func(addr mem.Addr) int { return int((addr >> mem.LineShift) % sets) }
+		index := func(addr mem.Addr) int {
+			for i, a := range ref[setOf(addr)] {
 				if a == addr {
-					refHit = true
-					ref[set] = append([]mem.Addr{addr}, append(ref[set][:i:i], ref[set][i+1:]...)...)
-					break
+					return i
 				}
 			}
-
-			_, hit := c.Access(addr, mem.Property, write, 0)
-			if hit != refHit {
+			return -1
+		}
+		remove := func(addr mem.Addr, i int) {
+			set := setOf(addr)
+			ref[set] = append(ref[set][:i:i], ref[set][i+1:]...)
+			delete(dirty, addr)
+		}
+		toMRU := func(addr mem.Addr, i int) {
+			set := setOf(addr)
+			ref[set] = append([]mem.Addr{addr}, append(ref[set][:i:i], ref[set][i+1:]...)...)
+		}
+		fill := func(addr mem.Addr) bool {
+			v := c.Fill(addr, mem.Property, 0, false)
+			if index(addr) >= 0 {
+				return !v.Valid // a refill of a resident line merges in place
+			}
+			set := setOf(addr)
+			if len(ref[set]) == ways {
+				lru := ref[set][ways-1]
+				if !v.Valid || v.Addr != lru || v.Dirty != dirty[lru] {
+					return false
+				}
+				remove(lru, ways-1)
+			} else if v.Valid {
 				return false
 			}
-			if !hit {
-				c.Fill(addr, mem.Property, 0, false)
-				ref[set] = append([]mem.Addr{addr}, ref[set]...)
-				if len(ref[set]) > ways {
-					ref[set] = ref[set][:ways]
+			ref[set] = append([]mem.Addr{addr}, ref[set]...)
+			return true
+		}
+		var pending []mem.Addr // deferred fills, run after the next op
+		for _, op := range ops {
+			addr := mem.LineAddrOf(op % 16) // twice the capacity: sets fill and evict
+			write := op&0x8000 != 0
+			i := index(addr)
+			switch (op >> 4) & 7 {
+			case 0:
+				if _, ok := c.Lookup(addr); ok != (i >= 0) {
+					return false
+				}
+			case 1:
+				v := c.Invalidate(addr)
+				if v.Valid != (i >= 0) || v.Valid && (v.Addr != addr || v.Dirty != dirty[addr]) {
+					return false
+				}
+				if i >= 0 {
+					remove(addr, i)
+				}
+			case 2:
+				c.Promote(addr)
+				if i >= 0 {
+					toMRU(addr, i)
+				}
+			case 3:
+				c.MarkDirty(addr)
+				if i >= 0 {
+					dirty[addr] = true
+				}
+			default:
+				_, hit := c.Access(addr, mem.Property, write, 0)
+				if hit != (i >= 0) {
+					return false
+				}
+				if hit {
+					toMRU(addr, i)
+					if write {
+						dirty[addr] = true
+					}
+				}
+			}
+			for _, a := range pending {
+				if !fill(a) {
+					return false
+				}
+			}
+			pending = pending[:0]
+			if (op>>4)&7 >= 4 && i < 0 {
+				if op&0x80 != 0 {
+					pending = append(pending, addr)
+				} else if !fill(addr) {
+					return false
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"droplet/internal/inflight"
 	"droplet/internal/mem"
 	"droplet/internal/memsys"
 	"droplet/internal/trace"
@@ -208,93 +209,11 @@ type Core struct {
 	// order (instr ascending); head indexes its logical front.
 	window []robEntry
 	head   int
-	loadQ  minQueue // outstanding load completion times
-	storeQ minQueue // outstanding store completion times
-	dramQ  minQueue // outstanding DRAM-load completion times (MLP histogram)
+	loadQ  inflight.Window // outstanding load completion times
+	storeQ inflight.Window // outstanding store completion times
+	dramQ  inflight.Window // outstanding DRAM-load completion times (MLP histogram)
 
 	stats Stats
-}
-
-// minQueue tracks the completion times of outstanding load/store-queue
-// entries as a sorted array. The simulator prunes completed entries at
-// every event and the prune threshold is NOT monotonic (a dependent load
-// can issue far in the future, then its successor issue earlier), so the
-// pruned-out set is genuinely historical state: an entry removed at a
-// high threshold must stay removed even when a later, lower threshold
-// would have kept it. Keeping the array sorted makes that exact eager
-// prune a prefix pop (usually zero or one entry) instead of the full
-// O(cap) filter-scan the seed code ran per event, and push is an
-// insertion from the back that is O(1) when completion times trend
-// upward, as they do. The backing array is allocated once per core.
-type minQueue struct {
-	buf  []int64 // buf[head:] holds the live entries, ascending
-	head int     // dead prefix below head awaits compaction
-}
-
-func newMinQueue(capacity int) minQueue {
-	// 2× headroom so the dead prefix can grow for a full queue's worth of
-	// pushes before push has to compact.
-	return minQueue{buf: make([]int64, 0, 2*capacity)}
-}
-
-func (q *minQueue) len() int { return len(q.buf) - q.head }
-
-// min returns the earliest completion time of the stored entries.
-func (q *minQueue) min() int64 { return q.buf[q.head] }
-
-// push records completion time t, keeping buf[head:] sorted. The dead
-// prefix is compacted away only when the backing array is exhausted —
-// one memmove per ~capacity pushes instead of one per prune. Both hot
-// cases are O(1): a cache-hit completion is usually below every
-// outstanding DRAM completion and drops into the pruned gap in front of
-// head, and a DRAM completion usually lands at the back. The rare
-// middle insert binary-searches and shifts whichever side is shorter.
-func (q *minQueue) push(t int64) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 {
-		// Compact, but keep half the reclaimed prefix as front slack:
-		// landing at head=0 would disable the front-insert fast path
-		// until prunes rebuild a gap, forcing tail memmoves meanwhile.
-		gap := q.head / 2
-		n := copy(q.buf[gap:], q.buf[q.head:])
-		q.buf = q.buf[:gap+n]
-		q.head = gap
-	}
-	n := len(q.buf)
-	if n == q.head || t >= q.buf[n-1] {
-		q.buf = append(q.buf, t)
-		return
-	}
-	if q.head > 0 && t <= q.buf[q.head] {
-		q.head--
-		q.buf[q.head] = t
-		return
-	}
-	lo, hi := q.head, n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if q.buf[m] <= t {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if q.head > 0 && lo-q.head <= n-lo {
-		q.head--
-		copy(q.buf[q.head:lo-1], q.buf[q.head+1:lo])
-		q.buf[lo-1] = t
-		return
-	}
-	q.buf = append(q.buf, 0)
-	copy(q.buf[lo+1:], q.buf[lo:])
-	q.buf[lo] = t
-}
-
-// prune removes every entry that has completed by now (t <= now) — a
-// sorted prefix, so removal is advancing head past it.
-func (q *minQueue) prune(now int64) {
-	for q.head < len(q.buf) && q.buf[q.head] <= now {
-		q.head++
-	}
 }
 
 // New builds core id over port, pulling its event stream from src.
@@ -328,9 +247,9 @@ func New(id int, cfg Config, port MemPort, src EventSource, span int) *Core {
 		warm:       warm,
 		completeAt: make([]int64, ring),
 		widthShift: widthShift,
-		loadQ:      newMinQueue(cfg.LoadQueue),
-		storeQ:     newMinQueue(cfg.StoreQueue),
-		dramQ:      newMinQueue(cfg.LoadQueue),
+		loadQ:      inflight.New(cfg.LoadQueue),
+		storeQ:     inflight.New(cfg.StoreQueue),
+		dramQ:      inflight.New(cfg.LoadQueue),
 	}
 	c.refill()
 	return c
@@ -489,17 +408,17 @@ func (c *Core) Step() {
 		// Load-queue capacity bounds MLP: with the queue still full after
 		// pruning, the earliest outstanding completion is the time a slot
 		// frees.
-		c.loadQ.prune(issue)
-		if c.loadQ.len() >= c.cfg.LoadQueue {
-			if oldest := c.loadQ.min(); oldest > issue {
+		c.loadQ.Prune(issue)
+		if c.loadQ.Len() >= c.cfg.LoadQueue {
+			if oldest := c.loadQ.Min(); oldest > issue {
 				issue = oldest
 			}
 			c.stats.LQFullStalls++
-			c.loadQ.prune(issue)
+			c.loadQ.Prune(issue)
 		}
 		complete, lvl := c.port.Access(c.id, ev.Addr, ev.DType, false, issue)
 		c.completeAt[idx&c.caMask] = complete
-		c.loadQ.push(complete)
+		c.loadQ.Push(complete)
 		c.stats.LoadsByLevel[lvl]++
 		if lvl == memsys.LevelDRAM {
 			c.stats.DRAMLatencySum += complete - issue
@@ -507,22 +426,22 @@ func (c *Core) Step() {
 			// telemetry MLP histogram. dramQ mirrors loadQ's eager-prune
 			// discipline at the same threshold, so its live set is exactly
 			// the DRAM loads in flight at `issue` (a subset of loadQ).
-			c.dramQ.prune(issue)
-			c.dramQ.push(complete)
-			c.stats.MLPHist[mlpBucket(c.dramQ.len())]++
+			c.dramQ.Prune(issue)
+			c.dramQ.Push(complete)
+			c.stats.MLPHist[mlpBucket(c.dramQ.Len())]++
 		}
 
 		// In-order retirement: attribute the stall to the servicing level,
 		// splitting off the time spent waiting to issue (producer
 		// dependency first, then a load-queue slot) from the memory
 		// latency itself. The three parts are disjoint and sum to stall.
-		floor := max64(c.lastRetire, dispatch+1)
-		retire := max64(complete, floor)
+		floor := max(c.lastRetire, dispatch+1)
+		retire := max(complete, floor)
 		if stall := retire - floor; stall > 0 {
 			c.stats.StallByLevel[lvl] += stall
-			dep := clamp64(depIssue-floor, stall)
+			dep := min(max(depIssue-floor, 0), stall)
 			c.stats.DepWaitByLevel[lvl] += dep
-			c.stats.QueueWaitByLevel[lvl] += clamp64(issue-floor, stall) - dep
+			c.stats.QueueWaitByLevel[lvl] += min(max(issue-floor, 0), stall) - dep
 		}
 		c.lastRetire = retire
 		c.recordROB(retire)
@@ -539,18 +458,18 @@ func (c *Core) Step() {
 			}
 		}
 		// Store-queue capacity delays dispatch when full.
-		c.storeQ.prune(issue)
-		if c.storeQ.len() >= c.cfg.StoreQueue {
-			if oldest := c.storeQ.min(); oldest > issue {
+		c.storeQ.Prune(issue)
+		if c.storeQ.Len() >= c.cfg.StoreQueue {
+			if oldest := c.storeQ.Min(); oldest > issue {
 				issue = oldest
 			}
-			c.storeQ.prune(issue)
+			c.storeQ.Prune(issue)
 		}
 		complete, _ := c.port.Access(c.id, ev.Addr, ev.DType, true, issue)
 		c.completeAt[idx&c.caMask] = complete
-		c.storeQ.push(complete)
+		c.storeQ.Push(complete)
 		// Stores retire from the store buffer without stalling the core.
-		retire := max64(c.lastRetire, dispatch+1)
+		retire := max(c.lastRetire, dispatch+1)
 		c.lastRetire = retire
 		c.recordROB(retire)
 	}
@@ -634,22 +553,4 @@ func (c *Core) StepFast(warm bool) {
 
 func (c *Core) recordROB(retire int64) {
 	c.window = append(c.window, robEntry{instr: c.instr, retire: retire})
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// clamp64 bounds v to [0, hi].
-func clamp64(v, hi int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"droplet/internal/inflight"
 	"droplet/internal/mem"
 )
 
@@ -140,12 +141,9 @@ type MemoryController struct {
 	writeFree  []int64
 	chanFree   []int64   // next cycle each channel can start a transfer
 	rowOpen    [][]int64 // open row per channel×bank, -1 when closed
-	// mrb tracks outstanding completion times per channel (a bounded
-	// window emulating MRB capacity). Each window is sorted ascending in
-	// mrb[ch][mrbHead[ch]:]; the dead prefix below the head index awaits
-	// compaction, which happens only when the backing array runs out.
-	mrb     [][]int64
-	mrbHead []int
+	// mrb tracks outstanding read completion times per channel (a
+	// bounded window emulating MRB capacity).
+	mrb []inflight.Window
 	// bankShift is log2(BanksPerChannel) when it is a power of two, else
 	// -1; route uses it to replace two u64 divisions with shift/mask.
 	bankShift int
@@ -164,8 +162,7 @@ func NewMemoryController(cfg Config) *MemoryController {
 		writeFree:  make([]int64, cfg.Channels),
 		chanFree:   make([]int64, cfg.Channels),
 		rowOpen:    make([][]int64, cfg.Channels),
-		mrb:        make([][]int64, cfg.Channels),
-		mrbHead:    make([]int, cfg.Channels),
+		mrb:        make([]inflight.Window, cfg.Channels),
 		bankShift:  -1,
 	}
 	if b := cfg.BanksPerChannel; b&(b-1) == 0 {
@@ -177,10 +174,8 @@ func NewMemoryController(cfg Config) *MemoryController {
 			mc.rowOpen[i][b] = -1
 		}
 		// Live entries can exceed MRBEntries (a stalled request still
-		// enters the window), and the dead prefix needs headroom before
-		// compaction pays off; append grows the window if a workload
-		// ever outruns it.
-		mc.mrb[i] = make([]int64, 0, 2*cfg.MRBEntries)
+		// enters the window); Push grows it if a workload ever does.
+		mc.mrb[i] = inflight.New(cfg.MRBEntries)
 	}
 	return mc
 }
@@ -238,16 +233,11 @@ func (mc *MemoryController) Access(req Request, now int64) int64 {
 	// MRB capacity: with MRBEntries outstanding, stall behind the oldest.
 	// Arrival times are not monotonic across cores, so pruning must stay
 	// eager (an entry retired at a high `now` stays retired even when a
-	// later access arrives earlier); the sorted window turns that
-	// per-access prune into a head advance and the oldest-lookup into the
-	// head entry, replacing the seed code's two O(entries) scans.
-	window, head := mc.mrb[ch], mc.mrbHead[ch]
-	for head < len(window) && window[head] <= now {
-		head++
-	}
-	mc.mrbHead[ch] = head
-	if len(window)-head >= mc.cfg.MRBEntries {
-		if oldest := window[head]; oldest > start {
+	// later access arrives earlier).
+	mrb := &mc.mrb[ch]
+	mrb.Prune(now)
+	if mrb.Len() >= mc.cfg.MRBEntries {
+		if oldest := mrb.Min(); oldest > start {
 			start = oldest
 		}
 		mc.stats.MRBFullStalls++
@@ -285,53 +275,7 @@ func (mc *MemoryController) Access(req Request, now int64) int64 {
 		mc.stats.DemandReads++
 	}
 	mc.stats.TotalQueueDelay += start - now
-	{
-		w, head := mc.mrb[ch], mc.mrbHead[ch]
-		if len(w) == cap(w) && head > 0 {
-			// Compact keeping half the reclaimed prefix as front slack,
-			// so low-side inserts keep their O(1) fast path (see the
-			// cpu.minQueue counterpart).
-			gap := head / 2
-			n := copy(w[gap:], w[head:])
-			w = w[:gap+n]
-			head = gap
-			mc.mrbHead[ch] = head
-		}
-		// Demand, prefetch, and writeback cursors complete out of order,
-		// so inserts are not back-only; binary-search the slot and shift
-		// the shorter side (the pruned gap in front of head absorbs
-		// low-side inserts without touching the tail).
-		n := len(w)
-		switch {
-		case n == head || complete >= w[n-1]:
-			w = append(w, complete)
-		case head > 0 && complete <= w[head]:
-			head--
-			w[head] = complete
-			mc.mrbHead[ch] = head
-		default:
-			lo, hi := head, n
-			for lo < hi {
-				m := int(uint(lo+hi) >> 1)
-				if w[m] <= complete {
-					lo = m + 1
-				} else {
-					hi = m
-				}
-			}
-			if head > 0 && lo-head <= n-lo {
-				head--
-				copy(w[head:lo-1], w[head+1:lo])
-				w[lo-1] = complete
-				mc.mrbHead[ch] = head
-			} else {
-				w = append(w, 0)
-				copy(w[lo+1:], w[lo:])
-				w[lo] = complete
-			}
-		}
-		mc.mrb[ch] = w
-	}
+	mrb.Push(complete)
 	return complete
 }
 

@@ -84,6 +84,13 @@ type PTE struct {
 	Valid     bool
 }
 
+// PhysAddr returns the physical address of a, a virtual address on the
+// page pte maps: pte's page frame with a's offset within the page.
+//
+//droplet:addr a byte
+//droplet:addr return byte
+func (pte PTE) PhysAddr(a Addr) Addr { return pte.PPN<<PageShift | (a & (PageSize - 1)) }
+
 // Region is one tagged allocation.
 type Region struct {
 	Name string
@@ -166,7 +173,7 @@ func (as *AddressSpace) Translate(a Addr) (Addr, bool) {
 	if !ok {
 		return 0, false
 	}
-	return pte.PPN<<PageShift | (a & (PageSize - 1)), true
+	return pte.PhysAddr(a), true
 }
 
 // TypeOf classifies address a by its containing region, defaulting to

@@ -372,7 +372,7 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 		// Unmapped accesses indicate a trace/layout bug.
 		panic(fmt.Sprintf("memsys: access to unmapped address %#x", vaddr))
 	}
-	paddr := pte.PPN<<mem.PageShift | (vline & (mem.PageSize - 1))
+	paddr := pte.PhysAddr(vline)
 
 	if len(h.pending) > 0 {
 		h.drainRefills(now)
@@ -424,7 +424,7 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 			h.stats.DemandMergedInFlight[dtype]++
 			l2Ready = h.expedite(paddr, l2Ready, t)
 		}
-		complete := max64(l2Ready, t) + int64(h.cfg.L2.LatencyData)
+		complete := max(l2Ready, t) + int64(h.cfg.L2.LatencyData)
 		// Not fromLLC, so no residency mark: the line being resident in
 		// this core's L2 proves its bit is already set in the LLC copy —
 		// the bit was set when the L2 installed it, and an intervening LLC
@@ -444,7 +444,7 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 			h.stats.DemandMergedInFlight[dtype]++
 			ready = h.expedite(paddr, ready, t)
 		}
-		complete := max64(ready, t) + int64(h.cfg.LLC.LatencyData)
+		complete := max(ready, t) + int64(h.cfg.LLC.LatencyData)
 		h.install(core, paddr, dtype, complete, true, true, false, write)
 		h.stats.ServicedBy[LevelL3][dtype]++
 		h.stats.LatencyByLevel[LevelL3][dtype] += complete - now
@@ -513,7 +513,7 @@ func (h *Hierarchy) observeLLC(core int, vline, paddr mem.Addr, dtype mem.DataTy
 func (h *Hierarchy) expedite(paddr mem.Addr, ready, now int64) int64 {
 	llcLat := int64(h.cfg.LLC.LatencyTag + h.cfg.LLC.LatencyData)
 	if lr, ok := h.llc.Lookup(paddr); ok && lr < ready {
-		if alt := max64(lr, now) + llcLat; alt < ready {
+		if alt := max(lr, now) + llcLat; alt < ready {
 			ready = alt
 		}
 	}
@@ -622,7 +622,7 @@ func (h *Hierarchy) Warm(core int, vaddr mem.Addr, dtype mem.DataType, write boo
 	if !ok {
 		panic(fmt.Sprintf("memsys: access to unmapped address %#x", vaddr))
 	}
-	paddr := pte.PPN<<mem.PageShift | (vline & (mem.PageSize - 1))
+	paddr := pte.PhysAddr(vline)
 
 	l1 := h.l1[core]
 	if _, hit := l1.Access(paddr, dtype, write, now); hit {
@@ -668,7 +668,7 @@ func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
 	if !ok {
 		return // prefetch past a region: drop silently
 	}
-	paddr := pte.PPN<<mem.PageShift | (vline & (mem.PageSize - 1))
+	paddr := pte.PhysAddr(vline)
 
 	if r.LLCOnly {
 		// Cross-core delivery: fill the shared LLC and nothing above it, so
@@ -722,7 +722,7 @@ func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, no
 		return false
 	}
 	h.llc.Promote(paddr)
-	complete := max64(ready, now) + int64(h.cfg.LLC.LatencyData)
+	complete := max(ready, now) + int64(h.cfg.LLC.LatencyData)
 	h.install(core, paddr, dtype, complete, true, fillL1, true, false)
 	h.stats.PrefetchIssuedByType[dtype]++
 	return true
@@ -797,11 +797,4 @@ func (h *Hierarchy) L2HitRate() float64 {
 		return 0
 	}
 	return float64(hits) / float64(accesses)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"droplet/internal/dram"
+	"droplet/internal/inflight"
 	"droplet/internal/mem"
 )
 
@@ -163,8 +164,8 @@ type MPP struct {
 	as   *mem.AddressSpace
 	mtlb *mem.TLB
 
-	inflight []int64 // completion times of outstanding DRAM prefetches
-	stats    MPPStats
+	vab   inflight.Window // completion times of outstanding DRAM prefetches
+	stats MPPStats
 }
 
 // NewMPP builds an MPP. scan and props come from the workload layout
@@ -175,11 +176,11 @@ func NewMPP(cfg MPPConfig, as *mem.AddressSpace, scan LineScanner, props []PropA
 		panic("prefetch: bad MPP config")
 	}
 	return &MPP{
-		pag:      newPAG(scan, props),
-		cfg:      cfg,
-		as:       as,
-		mtlb:     mem.NewTLB(cfg.MTLBEntries),
-		inflight: make([]int64, 0, cfg.VABEntries),
+		pag:  newPAG(scan, props),
+		cfg:  cfg,
+		as:   as,
+		mtlb: mem.NewTLB(cfg.MTLBEntries),
+		vab:  inflight.New(cfg.VABEntries),
 	}
 }
 
@@ -262,7 +263,7 @@ func (m *MPP) prefetchLine(core int, vline mem.Addr, t int64) {
 		m.mtlb.Insert(vline, pte)
 		t += m.cfg.PageWalkLatency
 	}
-	paddr := pte.PPN<<mem.PageShift | (vline & (mem.PageSize - 1))
+	paddr := pte.PhysAddr(vline)
 
 	t += m.cfg.CoherenceCheckLatency
 	if m.chip.LineOnChip(paddr) {
@@ -275,27 +276,12 @@ func (m *MPP) prefetchLine(core int, vline mem.Addr, t int64) {
 
 	// VAB/PAB occupancy: prune completed entries, drop when full. Issue
 	// times are not monotonic across triggering cores, so the prune must
-	// stay eager (an entry retired at a high t stays retired); the sorted
-	// window makes it a prefix pop instead of the seed code's full filter
-	// scan per prefetch.
-	i := 0
-	for i < len(m.inflight) && m.inflight[i] <= t {
-		i++
-	}
-	if i > 0 {
-		m.inflight = m.inflight[:copy(m.inflight, m.inflight[i:])]
-	}
-	if len(m.inflight) >= m.cfg.VABEntries {
+	// stay eager (an entry retired at a high t stays retired).
+	m.vab.Prune(t)
+	if m.vab.Len() >= m.cfg.VABEntries {
 		m.stats.DroppedVABFull++
 		return
 	}
-	done := m.chip.IssueDRAMPrefetch(core, paddr, vline, mem.Property, t, m.cfg.FillL1)
-	j := len(m.inflight)
-	m.inflight = append(m.inflight, done)
-	for j > 0 && m.inflight[j-1] > done {
-		m.inflight[j] = m.inflight[j-1]
-		j--
-	}
-	m.inflight[j] = done
+	m.vab.Push(m.chip.IssueDRAMPrefetch(core, paddr, vline, mem.Property, t, m.cfg.FillL1))
 	m.stats.IssuedToDRAM++
 }
