@@ -55,7 +55,7 @@ func BenchmarkAccessMissAndFillPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessHitPolicy measures the MRU-hinted demand hit under each
+// BenchmarkAccessHitPolicy measures the head-way demand hit under each
 // policy (the dominant operation in graph kernels).
 func BenchmarkAccessHitPolicy(b *testing.B) {
 	for _, k := range AllKinds() {

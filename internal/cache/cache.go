@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"droplet/internal/mem"
 )
@@ -41,6 +42,9 @@ func (c Config) Validate() error {
 	if c.Assoc <= 0 || lines%c.Assoc != 0 {
 		return fmt.Errorf("cache %s: assoc %d does not divide %d lines", c.Name, c.Assoc, lines)
 	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("cache %s: assoc %d above %d, the most ways a recency list links", c.Name, c.Assoc, maxAssoc)
+	}
 	sets := lines / c.Assoc
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache %s: %d sets not a power of two", c.Name, sets)
@@ -50,6 +54,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxAssoc is the largest associativity: a set's recency list links its
+// ways by uint16 index.
+const maxAssoc = 1 << 16
 
 // Per-line state lives in flat way-indexed parallel arrays (see Cache);
 // flags holds the two line status bits.
@@ -140,18 +148,32 @@ func (s *Stats) HitRate() float64 {
 // lives in the tag arrays, so it shares their line domain.
 const noTag = ^uint64(0) //droplet:addr line
 
+// link places one way in its set's recency list: a set's ways form a
+// circular doubly linked list of set-relative way indices, most recently
+// used first, so the way before the head is the tail.
+type link struct{ prev, next uint16 }
+
+// fpLow and fpHigh are the per-byte constants of the SWAR zero-byte test
+// that compares a wanted fingerprint with eight ways' at once.
+const (
+	fpLow  = 0x0101010101010101
+	fpHigh = 0x8080808080808080
+)
+
 // Cache is one set-associative cache. Addresses passed in are line-aligned
 // automatically.
 //
-// Line metadata is stored struct-of-arrays: the hot probes — hit checks
-// and victim selection — scan only the compact tags/lrus arrays, touching
-// a couple of host cache lines per set instead of per-way metadata
-// structs, and the cold fields (readyAt, data type, status flags) are
-// loaded only for the one way that matched.
+// Line metadata is stored struct-of-arrays: a probe reads the set's head
+// way and fingerprint words and the tags of candidate ways only, and LRU
+// victim selection follows one link, so a probe touches a couple of host
+// cache lines per set; the cold fields (readyAt, data type, status flags)
+// are loaded only for the one way that matched.
 type Cache struct {
-	cfg     Config
-	setMask uint64 //droplet:addr setmask
-	assoc   int
+	cfg      Config
+	setMask  uint64 //droplet:addr setmask
+	setShift uint   // log2 of the set count: the tag bits above the set index start here
+	assoc    int
+	fpWords  int // fingerprint words per set, (assoc+7)/8
 	// tags holds each way's line address, noTag when the way is invalid.
 	// A tag deliberately keeps the FULL line address (set bits included)
 	// rather than shifting them out: Fill and Invalidate reconstruct a
@@ -161,29 +183,27 @@ type Cache struct {
 	// annotation makes that invariant machine-checked: addrdomain flags any
 	// store of a non-line-domain value into the array.
 	tags []uint64 //droplet:addr line
-	lrus []uint64 // LRU stamp per way; valid ways always have stamp >= 1
 	meta []meta   // cold per-line fields, one 16-byte record per way
-	// mru holds, per set, the way index of the most recently touched
-	// line. Graph workloads hit the same hot line repeatedly (offsets,
-	// frontier words), so probing the hinted way first short-circuits the
-	// associative scan on the common path. Purely a speedup: hit/miss
-	// outcomes, stats, and LRU state are identical with or without it.
-	mru  []uint16
-	tick uint64
-	// missLA/missIdx/missOldest memoize the victim selection computed by
-	// the most recent Access miss: the demand protocol always follows a
-	// miss with a Fill of the same line in the same event, so Fill can
-	// skip its merge+victim scan and reuse the miss's answer. The memo is
-	// valid only while the set provably hasn't changed: every mutation
-	// that could alter victim choice or create a merge candidate — a
-	// fill, a hit (LRU bump), an invalidation, a promotion — resets
-	// missLA to noTag, forcing the next Fill back to the full scan.
-	// The memo is an LRU-only optimization: non-LRU kinds never set it
-	// (their victim selection has aging side effects that must run exactly
-	// once, in Fill), so missLA stays noTag and Fill always rescans.
-	missLA     uint64 //droplet:addr line
-	missIdx    int    // flat way index of the chosen victim
-	missOldest uint64 // the victim's LRU stamp; 0 means it was an invalid way
+	// links (per way) and heads (per set) keep each set's ways in recency
+	// order. A hit, a fill and a Promote move the way to the head; an
+	// Invalidate moves it to the tail. Invalid ways therefore always sit
+	// at the tail end, and the tail is LRU's victim: an invalid way while
+	// the set has one, else the least recently used line. Every kind keeps
+	// the list, because the head is also the way every probe tries first:
+	// graph workloads hit the same hot line repeatedly (offsets, frontier
+	// words).
+	links []link
+	heads []uint16
+	// fps holds one fingerprint byte per way (see fingerprint), eight to a
+	// word, fpWords words per set. A valid way's byte is always its tag's
+	// fingerprint, so a probe whose byte matches no way has proved the
+	// line absent without comparing a tag.
+	fps []uint64
+	// absent is the line the last Access missed on, or noTag once a line
+	// has been installed since. Only a Fill installs a line, so the line
+	// is still absent when the Fill that follows the miss runs, and that
+	// Fill skips its merge probe.
+	absent uint64 //droplet:addr line
 
 	// Replacement-policy state (see policy.go). kind routes the per-access
 	// policy hooks through small switches of direct calls; the state
@@ -211,17 +231,28 @@ func New(cfg Config) *Cache {
 	for i := range tags {
 		tags[i] = noTag
 	}
+	// Way w follows way w-1 round each set, so head 0 puts the last way at
+	// the tail and a fresh set fills its ways from the last to the first.
+	links := make([]link, lines)
+	for i := range links {
+		w := i % cfg.Assoc
+		links[i] = link{prev: uint16((w + cfg.Assoc - 1) % cfg.Assoc), next: uint16((w + 1) % cfg.Assoc)}
+	}
+	fpWords := (cfg.Assoc + 7) / 8
 	c := &Cache{
-		cfg:     cfg,
-		setMask: uint64(numSets - 1),
-		assoc:   cfg.Assoc,
-		tags:    tags,
-		lrus:    make([]uint64, lines),
-		meta:    make([]meta, lines),
-		mru:     make([]uint16, numSets),
-		missLA:  noTag,
-		kind:    cfg.Policy,
-		rng:     cfg.Seed,
+		cfg:      cfg,
+		setMask:  uint64(numSets - 1),
+		setShift: uint(bits.TrailingZeros(uint(numSets))),
+		assoc:    cfg.Assoc,
+		fpWords:  fpWords,
+		tags:     tags,
+		meta:     make([]meta, lines),
+		links:    links,
+		heads:    make([]uint16, numSets),
+		fps:      make([]uint64, numSets*fpWords),
+		absent:   noTag,
+		kind:     cfg.Policy,
+		rng:      cfg.Seed,
 	}
 	switch c.kind {
 	case KindSRRIP, KindBRRIP, KindDRRIP:
@@ -239,8 +270,8 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a pointer to the live counters.
 func (c *Cache) Stats() *Stats { return &c.stats }
 
-// Lookup probes for addr without updating stats or LRU. It returns the
-// line's readiness time when present. Used by the coherence engine.
+// Lookup probes for addr without updating stats or recency. It returns
+// the line's readiness time when present.
 //
 //droplet:addr addr byte
 func (c *Cache) Lookup(addr mem.Addr) (readyAt int64, ok bool) {
@@ -251,11 +282,22 @@ func (c *Cache) Lookup(addr mem.Addr) (readyAt int64, ok bool) {
 	return c.meta[idx].ready, true
 }
 
-// find returns the flat way index holding line la, probing its set's
-// MRU-hinted way before scanning the set, and changes no state; idx means
-// nothing when ok is false. A set holds a line in at most one way (Fill
-// merges a refill of a resident line), so the hinted probe finds the way
-// a plain scan would.
+// fingerprint hashes the tag bits of line la above its set index to the
+// byte, returned in the low 8 bits, that a probe compares.
+//
+//droplet:hotpath
+//droplet:addr la line
+func (c *Cache) fingerprint(la uint64) uint64 {
+	return (la >> c.setShift) * 0x9E3779B97F4A7C15 >> 56
+}
+
+// find returns the flat way index holding line la and changes no state;
+// idx means nothing when ok is false. It probes the set's head way, then
+// compares la's fingerprint with every way's, a word at a time, and the
+// tag of each way whose byte matches. The zero-byte test flags every
+// matching byte (and, rarely, a byte just above one), so the scan has no
+// false negatives; a set holds a line in at most one way (Fill merges a
+// refill of a resident line), so the first tag that matches is the line.
 //
 //droplet:hotpath
 //droplet:addr la line
@@ -263,79 +305,74 @@ func (c *Cache) find(la uint64) (idx int, ok bool) {
 	si := la & c.setMask
 	base := int(si) * c.assoc
 	tags := c.tags[base : base+c.assoc]
-	w := int(c.mru[si])
-	if tags[w] != la {
-		w = -1
-		for i, t := range tags {
-			if t == la {
-				w = i
-				break
+	if w := c.heads[si]; tags[w] == la {
+		return base + int(w), true
+	}
+	want := c.fingerprint(la) * fpLow
+	fw := int(si) * c.fpWords
+	for i, word := range c.fps[fw : fw+c.fpWords] {
+		x := word ^ want
+		for m := (x - fpLow) &^ x & fpHigh; m != 0; m &= m - 1 {
+			w := i*8 + bits.TrailingZeros64(m)>>3
+			if w >= len(tags) {
+				break // a padding byte of the set's last word
+			}
+			if tags[w] == la {
+				return base + w, true
 			}
 		}
 	}
-	return base + w, w >= 0
+	return 0, false
+}
+
+// toHead makes way w of set si the set's most recently used. It is split
+// from relink so that the common case, a hit on the head way, inlines
+// into its callers as one compare.
+//
+//droplet:hotpath
+//droplet:addr si set
+func (c *Cache) toHead(si uint64, w int) {
+	if uint16(w) != c.heads[si] {
+		c.relink(si, uint16(w))
+	}
+}
+
+// relink moves way w of set si, which is not the head, to the head. The
+// tail gets there by rotating the circular list; any other way is
+// unlinked and spliced in between the tail and the head.
+//
+//droplet:hotpath
+//droplet:addr si set
+func (c *Cache) relink(si uint64, w uint16) {
+	base := int(si) * c.assoc
+	l := c.links[base : base+c.assoc]
+	h := c.heads[si]
+	if t := l[h].prev; w != t {
+		p, n := l[w].prev, l[w].next
+		l[p].next, l[n].prev = n, p
+		l[w] = link{prev: t, next: h}
+		l[t].next, l[h].prev = w, w
+	}
+	c.heads[si] = w
 }
 
 // Access performs a demand access at time now. On a hit it returns
 // ok=true and readyAt, the time the data can be forwarded (>= now; later
-// than now only when the line is still in flight). LRU and all stats are
-// updated; a write marks the line dirty.
+// than now only when the line is still in flight). Recency and all stats
+// are updated; a write marks the line dirty.
 //
 //droplet:hotpath
 //droplet:addr addr byte
 func (c *Cache) Access(addr mem.Addr, dtype mem.DataType, write bool, now int64) (readyAt int64, ok bool) {
-	la := addr >> mem.LineShift
-	si := la & c.setMask
-	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
+	la := uint64(addr >> mem.LineShift)
 	c.stats.DemandAccesses[dtype]++
-	// Probe the MRU-hinted way first; fall back to the associative scan.
-	if w := int(c.mru[si]); tags[w] == uint64(la) {
-		return c.hit(base+w, dtype, write, now), true
-	}
-	if c.kind != KindLRU {
-		// No victim memo: non-LRU victim selection has aging side
-		// effects, so it runs exactly once, in Fill.
-		if idx, ok := c.find(uint64(la)); ok {
-			c.mru[si] = uint16(idx - base)
-			return c.hit(idx, dtype, write, now), true
-		}
+	idx, ok := c.find(la)
+	if !ok {
 		c.stats.DemandMisses[dtype]++
+		c.absent = la
 		return 0, false
 	}
-	// The miss scan doubles as the victim selection for the Fill that
-	// follows (same tie-breaks as Fill's own scan: last invalid way wins,
-	// else the first way with the minimal LRU stamp).
-	lrus := c.lrus[base : base+c.assoc][:len(tags)] // bounds-check hint
-	victimIdx := -1
-	var oldest uint64 = ^uint64(0)
-	for i, t := range tags {
-		if t == uint64(la) {
-			c.mru[si] = uint16(i)
-			return c.hit(base+i, dtype, write, now), true
-		}
-		if t == noTag {
-			victimIdx = i
-			oldest = 0
-			continue
-		}
-		if lrus[i] < oldest {
-			oldest = lrus[i]
-			victimIdx = i
-		}
-	}
-	c.stats.DemandMisses[dtype]++
-	c.missLA = uint64(la)
-	c.missIdx = base + victimIdx
-	c.missOldest = oldest
-	return 0, false
-}
-
-// hit applies the stats, recency, and dirty-bit effects of a demand hit
-// on the line at flat way index idx and returns the forwarding time.
-func (c *Cache) hit(idx int, dtype mem.DataType, write bool, now int64) int64 {
 	m := &c.meta[idx]
-	c.missLA = noTag // the recency bump below could change a memoized victim
 	c.stats.DemandHits[dtype]++
 	if m.flags&flagPrefetched != 0 {
 		c.stats.PrefetchHits[m.dtype]++
@@ -344,79 +381,50 @@ func (c *Cache) hit(idx int, dtype mem.DataType, write bool, now int64) int64 {
 	if write {
 		m.flags |= flagDirty
 	}
-	if c.kind == KindLRU {
-		c.tick++
-		c.lrus[idx] = c.tick
-	} else {
+	if c.kind != KindLRU {
 		c.touchWay(idx)
 	}
-	r := m.ready
-	if r < now {
-		r = now
-	}
-	return r
+	si := la & c.setMask
+	c.toHead(si, idx-int(si)*c.assoc)
+	return max(m.ready, now), true
 }
 
-// Fill installs addr, ready at readyAt, evicting the LRU way if needed.
-// prefetch marks prefetcher-installed lines for accuracy accounting.
-// The returned victim is valid when a line was displaced; inclusive
-// hierarchies must back-invalidate it upstream and write it back
-// downstream when dirty.
+// Fill installs addr, ready at readyAt, evicting the policy's victim if
+// the set is full (LRU: the tail of the set's recency list). prefetch
+// marks prefetcher-installed lines for accuracy accounting. The returned
+// victim is valid when a line was displaced; inclusive hierarchies must
+// back-invalidate it upstream and write it back downstream when dirty.
 //
 //droplet:hotpath
 //droplet:addr addr byte
 func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch bool) Victim {
-	la := addr >> mem.LineShift
-	si := la & c.setMask
-	base := int(si) * c.assoc
+	la := uint64(addr >> mem.LineShift)
 	c.stats.Fills++
 	if prefetch {
 		c.stats.PrefetchFills++
 	}
-	var victimIdx int
-	var oldest uint64
-	if uint64(la) == c.missLA {
-		// The Access miss for this line already chose the victim and the
-		// set provably hasn't changed since (any mutation resets missLA),
-		// so the merge check (the line is still absent) and the victim
-		// scan are both settled. (LRU only: other kinds never set the
-		// memo.)
-		victimIdx = c.missIdx
-		oldest = c.missOldest
-	} else if c.kind != KindLRU {
-		if idx, ok := c.find(uint64(la)); ok {
+	// A refill of a resident line merges in place; a line the last Access
+	// missed on is known to be absent.
+	if la != c.absent {
+		if idx, ok := c.find(la); ok {
 			c.merge(idx, readyAt, prefetch)
 			return Victim{}
 		}
-		victimIdx, oldest = c.victimWay(base)
-	} else {
-		tags := c.tags[base : base+c.assoc]
-		lrus := c.lrus[base : base+c.assoc][:len(tags)] // bounds-check hint
-		victimIdx = -1
-		oldest = ^uint64(0)
-		for i, t := range tags {
-			if t == uint64(la) {
-				c.merge(base+i, readyAt, prefetch)
-				return Victim{}
-			}
-			if t == noTag {
-				victimIdx = i
-				oldest = 0
-				continue
-			}
-			if lrus[i] < oldest {
-				oldest = lrus[i]
-				victimIdx = i
-			}
-		}
-		victimIdx += base
 	}
-	c.missLA = noTag // the install below changes the set
-	m := &c.meta[victimIdx]
+	c.absent = noTag // the install below makes a line present
+	si := la & c.setMask
+	base := int(si) * c.assoc
+	var idx int
+	if c.kind == KindLRU {
+		idx = base + int(c.links[base+int(c.heads[si])].prev) // the tail
+	} else {
+		idx = c.victimWay(base)
+	}
+	m := &c.meta[idx]
 	var v Victim
-	if oldest != 0 { // the chosen way held a valid line (valid stamps are >= 1)
+	if t := c.tags[idx]; t != noTag {
 		v = Victim{
-			Addr:       mem.Addr(c.tags[victimIdx]) << mem.LineShift, // tag holds the full line address
+			Addr:       mem.Addr(t) << mem.LineShift, // tag holds the full line address
 			Dirty:      m.flags&flagDirty != 0,
 			Valid:      true,
 			Prefetched: m.flags&flagPrefetched != 0,
@@ -430,31 +438,30 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 			c.stats.PrefetchEvictedUnused[v.DType]++
 		}
 		if c.kind == KindSHiP {
-			c.evictTrain(victimIdx)
+			c.evictTrain(idx)
 		}
 	}
-	// The tick/lrus stamp is maintained for every kind: non-LRU policies
-	// never read it, but the "valid stamps are >= 1" invariant backs the
-	// oldest != 0 victim-validity convention above.
-	c.tick++
-	c.tags[victimIdx] = uint64(la)
-	c.lrus[victimIdx] = c.tick
+	c.tags[idx] = la
+	// Way w's fingerprint is byte w%8 of its set's word w/8.
+	w := idx - base
+	fp := &c.fps[int(si)*c.fpWords+w>>3]
+	sh := uint(w&7) * 8
+	*fp = *fp&^(0xff<<sh) | c.fingerprint(la)<<sh
 	var f uint8
 	if prefetch {
 		f = flagPrefetched
 	}
 	*m = meta{ready: readyAt, dtype: dtype, flags: f}
 	if c.kind != KindLRU {
-		c.insertWay(victimIdx, si, uint64(la), dtype, prefetch)
+		c.insertWay(idx, si, la, dtype, prefetch)
 	}
-	c.mru[si] = uint16(victimIdx - base)
+	c.toHead(si, w)
 	return v
 }
 
 // merge folds a refill into the resident line at flat way index idx (a
 // prefetch racing a demand, say): the earlier readiness wins and a demand
-// refill clears the prefetched mark. No memo reset — readiness and flags
-// play no part in victim choice.
+// refill clears the prefetched mark. Recency is left alone.
 func (c *Cache) merge(idx int, readyAt int64, prefetch bool) {
 	m := &c.meta[idx]
 	if readyAt < m.ready {
@@ -466,11 +473,13 @@ func (c *Cache) merge(idx int, readyAt int64, prefetch bool) {
 }
 
 // Invalidate removes addr if present (inclusive back-invalidation),
-// returning the removed line's state.
+// returning the removed line's state. The freed way moves to the tail of
+// its set's recency list, so the next fill of the set reuses it.
 //
 //droplet:addr addr byte
 func (c *Cache) Invalidate(addr mem.Addr) Victim {
-	idx, ok := c.find(uint64(addr >> mem.LineShift))
+	la := uint64(addr >> mem.LineShift)
+	idx, ok := c.find(la)
 	if !ok {
 		return Victim{}
 	}
@@ -486,14 +495,17 @@ func (c *Cache) Invalidate(addr mem.Addr) Victim {
 		c.stats.PrefetchEvictedUnused[v.DType]++
 	}
 	c.tags[idx] = noTag
-	c.missLA = noTag // the freed way could change a memoized victim
+	// Splice the way in at the head, then step the head past it.
+	si := la & c.setMask
+	c.toHead(si, idx-int(si)*c.assoc)
+	c.heads[si] = c.links[idx].next
 	return v
 }
 
 // MarkUpper ORs bit into a resident line's upper-residency mask (see
 // meta.upper); absent lines are ignored. Callers invoke it right after
-// touching the line (Access hit or Fill), so the MRU-hinted probe almost
-// always resolves without the associative scan.
+// touching the line (Access hit or Fill), so the probe of the set's head
+// way almost always finds it.
 //
 //droplet:addr addr byte
 func (c *Cache) MarkUpper(addr mem.Addr, bit uint16) {
@@ -502,22 +514,22 @@ func (c *Cache) MarkUpper(addr mem.Addr, bit uint16) {
 	}
 }
 
-// Promote bumps a resident line to MRU without touching demand stats
-// (used when a prefetch engine reads the line, e.g. the LLC-to-L2 copy).
+// Promote makes a resident line its set's most recently used without
+// touching demand stats (used when a prefetch engine reads the line, e.g.
+// the LLC-to-L2 copy). It returns the line's readiness time and whether
+// the line was present; an absent line is left absent.
 //
 //droplet:addr addr byte
-func (c *Cache) Promote(addr mem.Addr) {
-	idx, ok := c.find(uint64(addr >> mem.LineShift))
+func (c *Cache) Promote(addr mem.Addr) (readyAt int64, ok bool) {
+	la := uint64(addr >> mem.LineShift)
+	idx, ok := c.find(la)
 	if !ok {
-		return
+		return 0, false
 	}
-	if c.kind == KindLRU {
-		c.tick++
-		c.lrus[idx] = c.tick
-	} else {
-		c.promoteWay(idx)
-	}
-	c.missLA = noTag // the recency bump could change a memoized victim
+	c.promoteWay(idx)
+	si := la & c.setMask
+	c.toHead(si, idx-int(si)*c.assoc)
+	return c.meta[idx].ready, true
 }
 
 // MarkDirty sets the dirty bit of a resident line (used when a writeback

@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,11 +17,12 @@ func newTest(size, assoc int) *Cache {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "a", SizeBytes: 0, Assoc: 1},
-		{Name: "b", SizeBytes: 100, Assoc: 1},                // not line multiple
-		{Name: "c", SizeBytes: 4096, Assoc: 3},               // assoc doesn't divide
-		{Name: "d", SizeBytes: 12 * mem.LineSize, Assoc: 2},  // 6 sets, not pow2
-		{Name: "e", SizeBytes: 64 * mem.LineSize, Assoc: 0},  // zero assoc
-		{Name: "f", SizeBytes: -mem.LineSize * 64, Assoc: 4}, // negative
+		{Name: "b", SizeBytes: 100, Assoc: 1},                      // not line multiple
+		{Name: "c", SizeBytes: 4096, Assoc: 3},                     // assoc doesn't divide
+		{Name: "d", SizeBytes: 12 * mem.LineSize, Assoc: 2},        // 6 sets, not pow2
+		{Name: "e", SizeBytes: 64 * mem.LineSize, Assoc: 0},        // zero assoc
+		{Name: "f", SizeBytes: -mem.LineSize * 64, Assoc: 4},       // negative
+		{Name: "h", SizeBytes: mem.LineSize << 17, Assoc: 1 << 17}, // more ways than the recency links index
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -195,115 +199,164 @@ func TestSubLineAddressesShareLine(t *testing.T) {
 // TestPropLRUMatchesReferenceModel cross-checks the cache against a naive
 // per-set LRU list model under random sequences of every probe: Access
 // (a miss followed by its Fill), Lookup, Invalidate, Promote and
-// MarkDirty. A deferred miss leaves its Fill until after the next op, so
-// an Invalidate or Promote can land between an Access miss and the Fill
-// that would reuse its memoized victim.
+// MarkDirty. The geometries cover a fingerprint word with padding bytes
+// (4 ways), one full word (8), sets of several words (16 and 32) and one
+// set of 32 ways (Fig. 4b's quadrupled L2). A deferred miss leaves its
+// Fill until after the next op, so an Invalidate or Promote can land
+// between an Access miss and its Fill, and a second miss on the line
+// makes the deferred Fill merge.
 func TestPropLRUMatchesReferenceModel(t *testing.T) {
-	const (
-		ways = 4
-		sets = 2
-		size = ways * sets * mem.LineSize
-	)
-	f := func(ops []uint16) bool {
-		c := newTest(size, ways)
-		// reference: per set, slice of line addrs in MRU..LRU order, and
-		// the resident lines a write hit or MarkDirty made dirty
-		ref := make([][]mem.Addr, sets)
-		dirty := map[mem.Addr]bool{}
-		setOf := func(addr mem.Addr) int { return int((addr >> mem.LineShift) % sets) }
-		index := func(addr mem.Addr) int {
-			for i, a := range ref[setOf(addr)] {
-				if a == addr {
-					return i
-				}
+	for _, g := range []struct{ sets, ways int }{{2, 4}, {4, 8}, {2, 16}, {1, 32}} {
+		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
+			f := func(seed uint64) bool { return matchesLRUReference(t, g.sets, g.ways, seed) }
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
 			}
-			return -1
+		})
+	}
+}
+
+// matchesLRUReference runs 400 random ops, drawn from seed, on a cache of
+// the given geometry and on the reference model, and reports whether every
+// outcome agreed: hits, victims and their dirty bits, and the readiness
+// Lookup, Access and Promote return.
+func matchesLRUReference(t *testing.T, sets, ways int, seed uint64) bool {
+	c := newTest(sets*ways*mem.LineSize, ways)
+	rng := rand.New(rand.NewPCG(seed, 0))
+	// reference: per set, slice of line addrs in MRU..LRU order; the
+	// resident lines a write hit or MarkDirty made dirty; and each
+	// resident line's readiness (a merged refill keeps the earlier one)
+	ref := make([][]mem.Addr, sets)
+	dirty := map[mem.Addr]bool{}
+	ready := map[mem.Addr]int64{}
+	setOf := func(addr mem.Addr) int { return int((addr >> mem.LineShift) % mem.Addr(sets)) }
+	index := func(addr mem.Addr) int {
+		return slices.Index(ref[setOf(addr)], addr)
+	}
+	remove := func(addr mem.Addr, i int) {
+		set := setOf(addr)
+		ref[set] = slices.Delete(ref[set], i, i+1)
+		delete(dirty, addr)
+		delete(ready, addr)
+	}
+	toMRU := func(addr mem.Addr, i int) {
+		set := setOf(addr)
+		ref[set] = slices.Insert(slices.Delete(ref[set], i, i+1), 0, addr)
+	}
+	fill := func(addr mem.Addr, at int64) bool {
+		v := c.Fill(addr, mem.Property, at, false)
+		if index(addr) >= 0 {
+			ready[addr] = min(ready[addr], at)
+			return !v.Valid // a refill of a resident line merges in place
 		}
-		remove := func(addr mem.Addr, i int) {
-			set := setOf(addr)
-			ref[set] = append(ref[set][:i:i], ref[set][i+1:]...)
-			delete(dirty, addr)
-		}
-		toMRU := func(addr mem.Addr, i int) {
-			set := setOf(addr)
-			ref[set] = append([]mem.Addr{addr}, append(ref[set][:i:i], ref[set][i+1:]...)...)
-		}
-		fill := func(addr mem.Addr) bool {
-			v := c.Fill(addr, mem.Property, 0, false)
-			if index(addr) >= 0 {
-				return !v.Valid // a refill of a resident line merges in place
-			}
-			set := setOf(addr)
-			if len(ref[set]) == ways {
-				lru := ref[set][ways-1]
-				if !v.Valid || v.Addr != lru || v.Dirty != dirty[lru] {
-					return false
-				}
-				remove(lru, ways-1)
-			} else if v.Valid {
+		set := setOf(addr)
+		if len(ref[set]) == ways {
+			lru := ref[set][ways-1]
+			if !v.Valid || v.Addr != lru || v.Dirty != dirty[lru] {
+				t.Logf("fill %#x: victim %+v, want LRU %#x dirty=%v", addr, v, lru, dirty[lru])
 				return false
 			}
-			ref[set] = append([]mem.Addr{addr}, ref[set]...)
-			return true
+			remove(lru, ways-1)
+		} else if v.Valid {
+			t.Logf("fill %#x: victim %+v from a set with an invalid way", addr, v)
+			return false
 		}
-		var pending []mem.Addr // deferred fills, run after the next op
-		for _, op := range ops {
-			addr := mem.LineAddrOf(op % 16) // twice the capacity: sets fill and evict
-			write := op&0x8000 != 0
-			i := index(addr)
-			switch (op >> 4) & 7 {
-			case 0:
-				if _, ok := c.Lookup(addr); ok != (i >= 0) {
-					return false
-				}
-			case 1:
-				v := c.Invalidate(addr)
-				if v.Valid != (i >= 0) || v.Valid && (v.Addr != addr || v.Dirty != dirty[addr]) {
-					return false
-				}
-				if i >= 0 {
-					remove(addr, i)
-				}
-			case 2:
-				c.Promote(addr)
-				if i >= 0 {
-					toMRU(addr, i)
-				}
-			case 3:
-				c.MarkDirty(addr)
-				if i >= 0 {
-					dirty[addr] = true
-				}
-			default:
-				_, hit := c.Access(addr, mem.Property, write, 0)
-				if hit != (i >= 0) {
-					return false
-				}
-				if hit {
-					toMRU(addr, i)
-					if write {
-						dirty[addr] = true
-					}
-				}
-			}
-			for _, a := range pending {
-				if !fill(a) {
-					return false
-				}
-			}
-			pending = pending[:0]
-			if (op>>4)&7 >= 4 && i < 0 {
-				if op&0x80 != 0 {
-					pending = append(pending, addr)
-				} else if !fill(addr) {
-					return false
-				}
-			}
-		}
+		ref[set] = slices.Insert(ref[set], 0, addr)
+		ready[addr] = at
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	type fillAt struct {
+		addr mem.Addr
+		at   int64
+	}
+	var pending []fillAt // deferred fills, run after the next op
+	for n := 0; n < 400; n++ {
+		addr := mem.LineAddrOf(rng.IntN(2 * sets * ways)) // twice the capacity: sets fill and evict
+		op, write, at := rng.IntN(8), rng.IntN(2) == 0, rng.Int64N(256)
+		i := index(addr)
+		switch op {
+		case 0:
+			if r, ok := c.Lookup(addr); ok != (i >= 0) || ok && r != ready[addr] {
+				t.Logf("Lookup %#x = %d, %v; want %d, %v", addr, r, ok, ready[addr], i >= 0)
+				return false
+			}
+		case 1:
+			v := c.Invalidate(addr)
+			if v.Valid != (i >= 0) || v.Valid && (v.Addr != addr || v.Dirty != dirty[addr]) {
+				t.Logf("Invalidate %#x = %+v, want resident=%v dirty=%v", addr, v, i >= 0, dirty[addr])
+				return false
+			}
+			if i >= 0 {
+				remove(addr, i)
+			}
+		case 2:
+			if r, ok := c.Promote(addr); ok != (i >= 0) || ok && r != ready[addr] {
+				t.Logf("Promote %#x = %d, %v; want %d, %v", addr, r, ok, ready[addr], i >= 0)
+				return false
+			}
+			if i >= 0 {
+				toMRU(addr, i)
+			}
+		case 3:
+			c.MarkDirty(addr)
+			if i >= 0 {
+				dirty[addr] = true
+			}
+		default:
+			r, hit := c.Access(addr, mem.Property, write, 0)
+			if hit != (i >= 0) || hit && r != ready[addr] {
+				t.Logf("Access %#x = %d, %v; want %d, %v", addr, r, hit, ready[addr], i >= 0)
+				return false
+			}
+			if hit {
+				toMRU(addr, i)
+				if write {
+					dirty[addr] = true
+				}
+			}
+		}
+		for _, p := range pending {
+			if !fill(p.addr, p.at) {
+				return false
+			}
+		}
+		pending = pending[:0]
+		if op >= 4 && i < 0 {
+			if rng.IntN(2) == 0 {
+				pending = append(pending, fillAt{addr, at})
+			} else if !fill(addr, at) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestFingerprintCollisions fills a 32-way set with lines that all share
+// one fingerprint byte, so every probe's zero-byte test flags every way
+// and only the tags can tell the lines apart.
+func TestFingerprintCollisions(t *testing.T) {
+	const ways = 32
+	c := newTest(ways*mem.LineSize, ways) // one set
+	var lines []uint64
+	for la := uint64(1); len(lines) <= ways; la++ {
+		if c.fingerprint(la) == c.fingerprint(0) {
+			lines = append(lines, la)
+		}
+	}
+	for _, la := range lines[:ways] {
+		c.Fill(mem.LineAddrOf(la), mem.Property, int64(la), false)
+	}
+	for _, la := range lines[:ways] {
+		if r, ok := c.Lookup(mem.LineAddrOf(la)); !ok || r != int64(la) {
+			t.Fatalf("Lookup line %#x = %d, %v; want %d, true", la, r, ok, la)
+		}
+	}
+	if _, ok := c.Lookup(mem.LineAddrOf(lines[ways])); ok {
+		t.Fatalf("line %#x found, but it was never filled", lines[ways])
+	}
+	if _, ok := c.Lookup(0); ok {
+		t.Fatal("line 0 found, but it was never filled")
 	}
 }
 

@@ -15,16 +15,16 @@ import (
 // parameter: Go devirtualizes neither (interface methods are indirect
 // calls; type-parameter methods compile to dictionary-indirect calls even
 // with one instantiation per shape), and either would put an indirect
-// call on the demand hot path that PR 2 worked to strip. A kind switch
-// compiles to direct calls behind one perfectly-predicted compare, the
-// LRU case keeps its fused probe+victim scan verbatim, and every policy's
-// state lives in preallocated flat arrays owned by the Cache — see
-// DESIGN.md "Replacement policies".
+// call on the demand hot path. A kind switch compiles to direct calls
+// behind one perfectly-predicted compare, LRU needs no hook at all (its
+// victim is the tail of the recency list every kind keeps), and every
+// policy's state lives in preallocated flat arrays owned by the Cache —
+// see DESIGN.md "Replacement policies".
 type Kind uint8
 
 const (
-	// KindLRU is true least-recently-used over per-way stamps (the
-	// historical policy and the default).
+	// KindLRU is true least-recently-used: the victim is the tail of the
+	// set's recency list (the historical policy and the default).
 	KindLRU Kind = iota
 	// KindRandom evicts a uniformly random valid way, drawn from a
 	// per-cache splitmix64 stream seeded by Config.Seed — deterministic
@@ -155,7 +155,8 @@ func (c *Cache) rnext() uint64 {
 }
 
 // touchWay applies a non-LRU policy's demand-hit promotion to the line at
-// flat way index idx. (LRU's stamp bump stays inlined in hit.)
+// flat way index idx. (LRU needs only the recency-list move, which toHead
+// makes for every kind.)
 func (c *Cache) touchWay(idx int) {
 	switch c.kind {
 	case KindRandom:
@@ -172,32 +173,33 @@ func (c *Cache) touchWay(idx int) {
 	}
 }
 
-// promoteWay applies a non-LRU policy's Promote (prefetch-engine touch):
-// recency is refreshed but predictors are not trained — a prefetcher
-// reading a line is not evidence of demand reuse.
+// promoteWay applies an RRIP-family policy's Promote (prefetch-engine
+// touch): recency is refreshed but predictors are not trained — a
+// prefetcher reading a line is not evidence of demand reuse. Kinds
+// without RRPVs have nothing to do here.
 func (c *Cache) promoteWay(idx int) {
 	if c.rrpv != nil {
 		c.rrpv[idx] = 0
 	}
 }
 
-// victimWay chooses a non-LRU victim in the set at base, with the same
-// return convention as the LRU scan: (flat way index, 0) for an invalid
-// way, (flat way index, 1) for a valid line to evict. RRIP-family aging
-// mutates the set's RRPVs, so callers invoke it exactly once per fill.
-func (c *Cache) victimWay(base int) (int, uint64) {
+// victimWay chooses a non-LRU victim in the set at base and returns its
+// flat way index: the last invalid way while the set has one, else the
+// policy's choice by way index. RRIP-family aging mutates the set's RRPVs,
+// so callers invoke it exactly once per fill.
+func (c *Cache) victimWay(base int) int {
 	tags := c.tags[base : base+c.assoc]
 	inv := -1
 	for i, t := range tags {
 		if t == noTag {
-			inv = i // last invalid way wins, matching the LRU scan
+			inv = i // last invalid way wins
 		}
 	}
 	if inv >= 0 {
-		return base + inv, 0
+		return base + inv
 	}
 	if c.kind == KindRandom {
-		return base + int(c.rnext()%uint64(c.assoc)), 1
+		return base + int(c.rnext()%uint64(c.assoc))
 	}
 	// RRIP family (SRRIP/BRRIP/DRRIP/SHiP): evict the first way already
 	// predicted "distant"; if none, age every way and rescan. RRPVs are
@@ -207,7 +209,7 @@ func (c *Cache) victimWay(base int) (int, uint64) {
 	for {
 		for i, r := range rrpv {
 			if r >= rrpvDistant {
-				return base + i, 1
+				return base + i
 			}
 		}
 		for i := range rrpv {
@@ -229,8 +231,7 @@ func (c *Cache) bimodalRRPV() uint8 {
 
 // insertWay applies a non-LRU policy's insert decision for the line just
 // installed at idx (set index si, line address la). Prefetch fills always
-// insert "distant": an untouched prefetch should be the first casualty,
-// mirroring how LRU's victim memo treats unused prefetches.
+// insert "distant": an untouched prefetch should be the first casualty.
 //
 //droplet:addr si set
 //droplet:addr la line

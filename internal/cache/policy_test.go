@@ -54,9 +54,9 @@ func TestValidateRejectsUnknownPolicy(t *testing.T) {
 	}
 }
 
-// TestLRUAgingOracle pins the LRU victim order on a single set: fills land
-// in last-invalid-first way order, a demand hit refreshes its line, and
-// the victim is always the smallest stamp.
+// TestLRUAgingOracle pins the LRU victim order on a single set: a fresh
+// set fills its ways last first, a demand hit refreshes its line, and the
+// victim is always the least recently used line.
 func TestLRUAgingOracle(t *testing.T) {
 	c := newPolicyTest(4*mem.LineSize, 4, KindLRU, 0)
 	// Fills go to the last invalid way: A->way3, B->way2, C->way1, D->way0.
@@ -316,21 +316,6 @@ func TestRandomSeededDeterminism(t *testing.T) {
 	}
 	if SaltSeed(7, 1) == SaltSeed(7, 2) {
 		t.Fatal("SaltSeed must separate sibling instances")
-	}
-}
-
-// TestNonLRUMemoUnused pins the invariant Fill relies on: non-LRU kinds
-// never arm the Access->Fill victim memo.
-func TestNonLRUMemoUnused(t *testing.T) {
-	for _, k := range AllKinds() {
-		if k == KindLRU {
-			continue
-		}
-		c := newPolicyTest(4*mem.LineSize, 4, k, 1)
-		c.Access(lineAddr(9), mem.Property, false, 0)
-		if c.missLA != noTag {
-			t.Fatalf("%v: Access miss armed the LRU victim memo", k)
-		}
 	}
 }
 

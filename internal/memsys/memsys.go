@@ -5,9 +5,9 @@
 // per-core L2 engines snoop the local L1-miss stream, shared LLC engines
 // observe the merged cross-core demand stream, and MC engines react to
 // DRAM refills. The hierarchy also implements the prefetch.Chip interface
-// bound into ChipBinder engines like the MPP (coherence probe + the two
-// property-delivery paths of Fig. 8); ExecutePrefetch delivers every
-// engine-issued request through those same two paths.
+// bound into ChipBinder engines like the MPP (the two property-delivery
+// paths of Fig. 8); ExecutePrefetch delivers every engine-issued request
+// through those same two paths.
 package memsys
 
 import (
@@ -525,12 +525,12 @@ func (h *Hierarchy) expedite(paddr mem.Addr, ready, now int64) int64 {
 
 // install places a line arriving at readyAt into core's private caches
 // and keeps the hierarchy inclusive. A line from the LLC (fromLLC) sets
-// core's bit in the LLC copy's residency mask — every such caller has just
-// touched the line there, so the MRU hint is warm — and fills the L2; the
-// L1 takes the line when intoL1 is set or there is no L2. pf marks
-// prefetch fills, and write leaves the L1 copy dirty (a demand store). An
-// L2 victim back-invalidates the L1 (Table I: inclusive at all levels),
-// and a dirty victim marks the level below.
+// core's bit in the LLC copy's residency mask — every such caller has
+// just touched the line there, so it is its set's head way — and fills
+// the L2; the L1 takes the line when intoL1 is set or there is no L2.
+// pf marks prefetch fills, and write leaves the L1 copy dirty (a demand
+// store). An L2 victim back-invalidates the L1 (Table I: inclusive at
+// all levels), and a dirty victim marks the level below.
 //
 //droplet:addr paddr byte
 func (h *Hierarchy) install(core int, paddr mem.Addr, dtype mem.DataType, readyAt int64, fromLLC, intoL1, pf, write bool) {
@@ -673,7 +673,8 @@ func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
 	if r.LLCOnly {
 		// Cross-core delivery: fill the shared LLC and nothing above it, so
 		// every core sees the line without any private cache polluted.
-		if h.LineOnChip(paddr) {
+		// The inclusive LLC covers every private cache.
+		if _, ok := h.llc.Lookup(paddr); ok {
 			h.stats.PrefetchFilteredOnChip++
 			return
 		}
@@ -688,16 +689,6 @@ func (h *Hierarchy) ExecutePrefetch(r prefetch.Req, now int64) {
 	if !h.CopyLLCToL2(r.Core, paddr, dtype, now, r.FillL1) {
 		h.dramPrefetch(r, paddr, vline, dtype, now+int64(h.cfg.LLC.LatencyTag))
 	}
-}
-
-// LineOnChip implements prefetch.Chip: the inclusive LLC covers all
-// private caches, so an LLC probe is the coherence-engine check.
-//
-//droplet:hotpath
-//droplet:addr paddr byte
-func (h *Hierarchy) LineOnChip(paddr mem.Addr) bool {
-	_, ok := h.llc.Lookup(paddr)
-	return ok
 }
 
 // CopyLLCToL2 implements prefetch.Chip (Fig. 8: on-chip property line
@@ -717,11 +708,10 @@ func (h *Hierarchy) CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, no
 		h.stats.PrefetchFilteredOnChip++
 		return true
 	}
-	ready, resident := h.llc.Lookup(paddr)
+	ready, resident := h.llc.Promote(paddr)
 	if !resident {
 		return false
 	}
-	h.llc.Promote(paddr)
 	complete := max(ready, now) + int64(h.cfg.LLC.LatencyData)
 	h.install(core, paddr, dtype, complete, true, fillL1, true, false)
 	h.stats.PrefetchIssuedByType[dtype]++

@@ -211,15 +211,20 @@ func TestChipInterface(t *testing.T) {
 	var _ prefetch.Chip = fx.h
 
 	pa, _ := fx.as.Translate(fx.prop.Base)
-	if fx.h.LineOnChip(pa) {
+	if fx.h.CopyLLCToL2(0, pa, mem.Property, 100, false) {
 		t.Error("cold line reported on-chip")
 	}
+	if _, ok := fx.h.LLC().Lookup(pa); ok {
+		t.Error("CopyLLCToL2 brought a cold line on chip")
+	}
 	fx.h.Access(1, fx.prop.Base, mem.Property, false, 0)
-	if !fx.h.LineOnChip(pa) {
-		t.Error("resident line reported off-chip")
+	if _, ok := fx.h.LLC().Lookup(pa); !ok {
+		t.Error("accessed line not in the LLC")
 	}
 
-	fx.h.CopyLLCToL2(0, pa, mem.Property, 5000, false)
+	if !fx.h.CopyLLCToL2(0, pa, mem.Property, 5000, false) {
+		t.Error("resident line reported off-chip")
+	}
 	if _, ok := fx.h.L2(0).Lookup(pa); !ok {
 		t.Error("CopyLLCToL2 did not install the line")
 	}

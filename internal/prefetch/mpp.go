@@ -125,15 +125,15 @@ func (g *pag) propertyLines(vline mem.Addr) []mem.Addr {
 	return g.lines
 }
 
-// Chip is the MPP's interface to the on-chip hierarchy: the coherence
-// engine probe and the two property-prefetch delivery paths of Fig. 8.
+// Chip is the MPP's interface to the on-chip hierarchy: the two
+// property-prefetch delivery paths of Fig. 8. The first doubles as the
+// coherence-engine probe.
 type Chip interface {
-	// LineOnChip reports whether the physical line is resident in the
-	// inclusive LLC (which covers all private caches).
-	LineOnChip(paddr mem.Addr) bool
 	// CopyLLCToL2 copies an LLC-resident line into core's private L2
-	// (and optionally L1), completing at a time of the chip's choosing;
-	// it reports whether the line was on chip.
+	// (and optionally L1), completing at a time of the chip's choosing.
+	// It reports whether the line was on chip, that is, in the inclusive
+	// LLC (which covers all private caches); an off-chip line is left
+	// alone.
 	CopyLLCToL2(core int, paddr mem.Addr, dtype mem.DataType, now int64, fillL1 bool) bool
 	// IssueDRAMPrefetch queues a property prefetch read at the MC,
 	// filling the LLC and core's private L2 (and optionally L1); it
@@ -266,10 +266,9 @@ func (m *MPP) prefetchLine(core int, vline mem.Addr, t int64) {
 	paddr := pte.PhysAddr(vline)
 
 	t += m.cfg.CoherenceCheckLatency
-	if m.chip.LineOnChip(paddr) {
-		// Already on-chip: copy from the inclusive LLC into the private
+	if m.chip.CopyLLCToL2(core, paddr, mem.Property, t, m.cfg.FillL1) {
+		// Already on-chip: copied from the inclusive LLC into the private
 		// L2 (Fig. 8, green path tail).
-		m.chip.CopyLLCToL2(core, paddr, mem.Property, t, m.cfg.FillL1)
 		m.stats.CopiedFromLLC++
 		return
 	}

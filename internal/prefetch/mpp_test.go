@@ -16,11 +16,14 @@ type fakeChip struct {
 	fillL1s []bool
 }
 
-func (f *fakeChip) LineOnChip(p mem.Addr) bool { return f.onChip[p] }
+// CopyLLCToL2 records a copy only for an on-chip line, as memsys does.
 func (f *fakeChip) CopyLLCToL2(core int, p mem.Addr, dt mem.DataType, now int64, fillL1 bool) bool {
+	if !f.onChip[p] {
+		return false
+	}
 	f.copies = append(f.copies, p)
 	f.fillL1s = append(f.fillL1s, fillL1)
-	return f.onChip[p]
+	return true
 }
 func (f *fakeChip) IssueDRAMPrefetch(core int, p, v mem.Addr, dt mem.DataType, now int64, fillL1 bool) int64 {
 	f.issues = append(f.issues, p)
