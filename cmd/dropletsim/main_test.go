@@ -162,3 +162,21 @@ func TestFootprintReportsResolvedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeVertexIDFails: a -graphfile edge list naming vertex 2^32-1 is
+// an error naming that ID, which main reports before exiting 1, not an
+// attempt to allocate offsets for 2^32 vertices.
+func TestHugeVertexIDFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.el")
+	if err := os.WriteFile(path, []byte("4294967295 0\n0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := parseFlags([]string{"-algo", "BFS", "-graphfile", path, "-json"})
+	rv, _, err := c.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(c.runFlags, rv); err == nil || !strings.Contains(err.Error(), "4294967295") {
+		t.Fatalf("run on %s: error %v, want one naming vertex 4294967295", path, err)
+	}
+}

@@ -74,8 +74,11 @@ type BuildOptions = graph.BuildOptions
 type DegreeStats = graph.DegreeStats
 
 // FromEdges builds a CSR graph from an edge list, in time linear in the
-// edges plus a sort of each neighbor list. Lists are sorted by neighbor
-// ID (then weight). A symmetrized graph is its own transpose.
+// edges plus a sort of each neighbor list; the sorts run on all
+// GOMAXPROCS CPUs, and the graph does not depend on their number. Lists
+// are sorted by neighbor ID (then weight). A symmetrized graph is its own
+// transpose. A graph has at most 1<<30 vertices: a larger
+// opt.NumVertices, or with NumVertices 0 a larger vertex ID, is an error.
 func FromEdges(edges []Edge, opt BuildOptions) (*Graph, error) {
 	return graph.FromEdges(edges, opt)
 }
@@ -280,7 +283,9 @@ func AnalyzeDependencies(tr *Trace, robSize int) DepStats {
 	return trace.AnalyzeDependencies(tr, robSize)
 }
 
-// ReadEdgeList parses a SNAP/GAP-style edge list ("u v [w]" per line).
+// ReadEdgeList parses a SNAP/GAP-style edge list ("u v [w]" per line)
+// and builds it as FromEdges does, so with opt.NumVertices 0 a vertex ID
+// of 1<<30 or more is an error.
 func ReadEdgeList(r io.Reader, opt BuildOptions) (*Graph, error) {
 	return graph.ReadEdgeList(r, opt)
 }

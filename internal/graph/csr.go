@@ -12,8 +12,15 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 )
+
+// MaxVertices is the most vertices a graph may have, and the most the
+// generators build: RMAT and Uniform at scale 30, Grid at rows·cols =
+// 1<<30. FromEdges rejects a larger vertex count, or a vertex ID it would
+// size the graph by, before it allocates anything.
+const MaxVertices = 1 << 30
 
 // Edge is a directed edge from U to V with an optional weight.
 // For unweighted graphs W is ignored.
@@ -108,7 +115,8 @@ func (g *CSR) String() string {
 
 // BuildOptions controls FromEdges.
 type BuildOptions struct {
-	// NumVertices fixes the vertex count; 0 means 1+max ID seen.
+	// NumVertices fixes the vertex count, at most MaxVertices; 0 means
+	// 1+max ID seen, so every ID must then be below MaxVertices.
 	NumVertices int
 	// Symmetrize adds the reverse of every edge (undirected graphs).
 	Symmetrize bool
@@ -128,25 +136,33 @@ type BuildOptions struct {
 // neighbor list in place: by destination ID, matching the layout GAP
 // produces, and for weighted graphs by (destination, weight), so parallel
 // edges come out lightest first and Dedupe keeps the smallest weight.
-// After Dedupe the neighbor and weight arrays may keep their pre-dedupe
-// capacity.
+// The sorts run on all runtime.GOMAXPROCS(0) CPUs, each on one run of
+// consecutive lists; the graph does not depend on the CPU count. After
+// Dedupe the neighbor and weight arrays may keep their pre-dedupe
+// capacity. A vertex count or ID beyond MaxVertices is an error.
 func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
+	return fromEdges(edges, opt, runtime.GOMAXPROCS(0))
+}
+
+// fromEdges is FromEdges with the lists sorted in workers runs.
+func fromEdges(edges []Edge, opt BuildOptions, workers int) (*CSR, error) {
 	n := max(opt.NumVertices, 0)
-	for _, e := range edges {
-		if int(e.U) >= n {
-			n = int(e.U) + 1
-		}
-		if int(e.V) >= n {
-			n = int(e.V) + 1
-		}
+	if n > MaxVertices {
+		return nil, fmt.Errorf("graph: %d vertices exceeds MaxVertices (%d)", n, MaxVertices)
 	}
-	if opt.NumVertices > 0 {
+	if n > 0 {
 		for _, e := range edges {
-			if int(e.U) >= opt.NumVertices || int(e.V) >= opt.NumVertices {
-				return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.U, e.V, opt.NumVertices)
+			if int(e.U) >= n || int(e.V) >= n {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range for %d vertices", e.U, e.V, n)
 			}
 		}
-		n = opt.NumVertices
+	} else {
+		for _, e := range edges {
+			n = max(n, int(e.U)+1, int(e.V)+1)
+		}
+		if n > MaxVertices {
+			return nil, fmt.Errorf("graph: vertex ID %d out of range: MaxVertices is %d", n-1, MaxVertices)
+		}
 	}
 
 	g := &CSR{offsets: make([]int64, n+1), symmetric: opt.Symmetrize}
@@ -180,7 +196,7 @@ func FromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	g.sortLists(opt.Dedupe)
+	g.sortLists(opt.Dedupe, workers)
 	return g, nil
 }
 
@@ -196,41 +212,82 @@ func (g *CSR) place(u, v uint32, w int32) {
 
 // sortLists sorts every neighbor list (by neighbor, then weight) and, with
 // dedupe, keeps the first entry of each run of equal neighbors, compacting
-// the lists towards the front of the arrays.
-func (g *CSR) sortLists(dedupe bool) {
+// the lists towards the front of the arrays. The vertices are cut into
+// workers runs holding about equal numbers of entries, sorted in
+// parallel; one pass then slides each run's kept entries down to the
+// running total and rebases its offsets. Each list is sorted and deduped
+// on its own, so the result does not depend on the cuts.
+func (g *CSR) sortLists(dedupe bool, workers int) {
 	n := g.NumVertices()
-	var keys []uint64 // scratch for weighted lists
-	var w, lo int64
-	for u := 0; u < n; u++ {
-		hi := g.offsets[u+1]
-		if g.weights == nil {
-			slices.Sort(g.neigh[lo:hi])
-		} else {
-			keys = sortWeighted(g.neigh[lo:hi], g.weights[lo:hi], keys)
-		}
-		if dedupe {
-			start := w
-			for i := lo; i < hi; i++ {
-				if w > start && g.neigh[i] == g.neigh[w-1] {
-					continue
-				}
-				g.neigh[w] = g.neigh[i]
-				if g.weights != nil {
-					g.weights[w] = g.weights[i]
-				}
-				w++
+	// Run i starts at the first vertex whose list starts at or after
+	// i/workers of the entries.
+	cuts := split(int(g.offsets[n]), workers)
+	for i := 1; i < workers; i++ {
+		cuts[i], _ = slices.BinarySearch(g.offsets, int64(cuts[i]))
+	}
+	cuts[workers] = n
+	kept := parallel(cuts, func(lo, hi int) int64 { return g.sortRun(lo, hi, dedupe) })
+	if !dedupe {
+		return
+	}
+	w := kept[0] // the first run starts at entry 0 and never moves
+	for r := 1; r < workers; r++ {
+		lo, hi := cuts[r], cuts[r+1]
+		if from := g.offsets[lo]; from > w {
+			copy(g.neigh[w:], g.neigh[from:from+kept[r]])
+			if g.weights != nil {
+				copy(g.weights[w:], g.weights[from:from+kept[r]])
 			}
+			for u := lo; u < hi; u++ {
+				g.offsets[u] -= from - w
+			}
+		}
+		w += kept[r]
+	}
+	g.offsets[n] = w
+	g.neigh = g.neigh[:w]
+	if g.weights != nil {
+		g.weights = g.weights[:w]
+	}
+}
+
+// sortRun sorts the lists of vertices [lo, hi) and, with dedupe, compacts
+// them towards offsets[lo]. It returns how many entries the run keeps. It
+// reads offsets[lo..hi] but writes only offsets lo+1..hi-1 (offsets[lo]
+// stays where it is), so runs over disjoint vertex ranges never touch an
+// entry or offset another run writes.
+func (g *CSR) sortRun(lo, hi int, dedupe bool) int64 {
+	var keys []uint64 // scratch for weighted lists
+	first := g.offsets[lo]
+	a, w := first, first
+	for u := lo; u < hi; u++ {
+		b := g.offsets[u+1]
+		if g.weights == nil {
+			slices.Sort(g.neigh[a:b])
+		} else {
+			keys = sortWeighted(g.neigh[a:b], g.weights[a:b], keys)
+		}
+		if !dedupe {
+			a, w = b, b
+			continue
+		}
+		start := w
+		for i := a; i < b; i++ {
+			if w > start && g.neigh[i] == g.neigh[w-1] {
+				continue
+			}
+			g.neigh[w] = g.neigh[i]
+			if g.weights != nil {
+				g.weights[w] = g.weights[i]
+			}
+			w++
+		}
+		if u > lo {
 			g.offsets[u] = start
 		}
-		lo = hi
+		a = b
 	}
-	if dedupe {
-		g.offsets[n] = w
-		g.neigh = g.neigh[:w]
-		if g.weights != nil {
-			g.weights = g.weights[:w]
-		}
-	}
+	return w - first
 }
 
 // sortWeighted sorts one neighbor list and its parallel weights by

@@ -3,8 +3,10 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -291,7 +293,8 @@ func randomEdges(r *RNG, n, m int) []Edge {
 // TestFromEdgesMatchesReference checks FromEdges against the reference
 // construction on random edge lists under every combination of options,
 // including a NumVertices too small for the IDs, which both must reject
-// with the same error.
+// with the same error. It builds each list with one worker and with
+// three, so the graphs of fewer than three vertices also sort empty runs.
 func TestFromEdgesMatchesReference(t *testing.T) {
 	r := NewRNG(3)
 	for trial := 0; trial < 200; trial++ {
@@ -306,22 +309,44 @@ func TestFromEdgesMatchesReference(t *testing.T) {
 					DropSelfLoops: mask&4 != 0,
 					Weighted:      mask&8 != 0,
 				}
-				got, err := FromEdges(edges, opt)
 				want, wantErr := referenceFromEdges(edges, opt)
-				if wantErr != nil || err != nil {
-					if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-						t.Fatalf("trial %d %+v: error %v, want %v", trial, opt, err, wantErr)
+				for _, workers := range []int{1, 3} {
+					got, err := fromEdges(edges, opt, workers)
+					if wantErr != nil || err != nil {
+						if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+							t.Fatalf("trial %d %+v, %d workers: error %v, want %v", trial, opt, workers, err, wantErr)
+						}
+						continue
 					}
-					continue
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("trial %d %+v: %v", trial, opt, err)
-				}
-				if !sameCSR(got, want) {
-					t.Fatalf("trial %d %+v on %v:\n got %v %v %v\nwant %v %v %v", trial, opt, edges,
-						got.offsets, got.neigh, got.weights, want.offsets, want.neigh, want.weights)
+					if err := got.Validate(); err != nil {
+						t.Fatalf("trial %d %+v, %d workers: %v", trial, opt, workers, err)
+					}
+					if !sameCSR(got, want) {
+						t.Fatalf("trial %d %+v, %d workers on %v:\n got %v %v %v\nwant %v %v %v", trial, opt, workers, edges,
+							got.offsets, got.neigh, got.weights, want.offsets, want.neigh, want.weights)
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestFromEdgesVertexBound checks that a vertex count, or an ID that
+// would size the graph, beyond MaxVertices is an error naming it; the
+// build stops before allocating anything of that size.
+func TestFromEdgesVertexBound(t *testing.T) {
+	for _, tc := range []struct {
+		edges []Edge
+		opt   BuildOptions
+		name  string
+	}{
+		{[]Edge{{U: MaxVertices, V: 0}}, BuildOptions{}, "1073741824"},
+		{[]Edge{{U: 0, V: 1}, {U: 2, V: math.MaxUint32}}, BuildOptions{Dedupe: true}, "4294967295"},
+		{nil, BuildOptions{NumVertices: MaxVertices + 1}, "1073741825"},
+	} {
+		_, err := FromEdges(tc.edges, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%v %+v: error %v, want one naming %s", tc.edges, tc.opt, err, tc.name)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // GenOptions configures the synthetic graph generators.
@@ -20,21 +21,32 @@ func (o GenOptions) maxWeight() int32 {
 	return o.MaxWeight
 }
 
-func (o GenOptions) assignWeights(edges []Edge, r *RNG) {
+// assignWeights gives edge i a weight in [1, MaxWeight] from r's i-th
+// draw, drawing in workers ranges.
+func (o GenOptions) assignWeights(edges []Edge, r *RNG, workers int) {
 	if !o.Weighted {
 		return
 	}
-	mw := o.maxWeight()
-	for i := range edges {
-		edges[i].W = 1 + int32(r.Intn(int(mw)))
-	}
+	mw := int(o.maxWeight())
+	drawEdges(r, workers, edges, 1, func(r *RNG, part []Edge) {
+		for i := range part {
+			part[i].W = 1 + int32(r.Intn(mw))
+		}
+	})
 }
 
 // RMAT generates a 2^scale-vertex RMAT graph with degree*2^scale edges
 // using the given partition probabilities. GAP's Kronecker generator uses
 // a=0.57, b=c=0.19 (see Kron). Social-network proxies use a skewed but
-// less extreme partition.
+// less extreme partition. Edge i takes RMAT draws [i·scale, (i+1)·scale),
+// so the edges are drawn on all runtime.GOMAXPROCS(0) CPUs, one range of
+// edges each, and the graph does not depend on the CPU count.
 func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
+	return rmat(scale, degree, a, b, c, opt, runtime.GOMAXPROCS(0))
+}
+
+// rmat is RMAT drawn and built by workers goroutines.
+func rmat(scale, degree int, a, b, c float64, opt GenOptions, workers int) (*CSR, error) {
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", scale)
 	}
@@ -48,24 +60,26 @@ func RMAT(scale, degree int, a, b, c float64, opt GenOptions) (*CSR, error) {
 	m := n * degree
 	r := NewRNG(opt.Seed ^ 0x7a3d_91c4_55aa_0f0f)
 	q := newRMATQuadrants(a, b, c)
-	edges := make([]Edge, 0, m)
-	for i := 0; i < m; i++ {
-		var u, v uint32
-		for range scale {
-			bu, bv := q.pick(r.Uint64() >> 11)
-			u = u<<1 | bu
-			v = v<<1 | bv
+	edges := make([]Edge, m)
+	drawEdges(r, workers, edges, scale, func(r *RNG, part []Edge) {
+		for i := range part {
+			var u, v uint32
+			for range scale {
+				bu, bv := q.pick(r.Uint64() >> 11)
+				u = u<<1 | bu
+				v = v<<1 | bv
+			}
+			part[i] = Edge{U: u, V: v}
 		}
-		edges = append(edges, Edge{U: u, V: v})
-	}
-	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
+	})
+	opt.assignWeights(edges, r, workers)
+	return fromEdges(edges, BuildOptions{
 		NumVertices:   n,
 		Symmetrize:    opt.Symmetrize,
 		Dedupe:        true,
 		DropSelfLoops: true,
 		Weighted:      opt.Weighted,
-	})
+	}, workers)
 }
 
 // rmatQuadrants picks one RMAT level's quadrant from a 53-bit draw k by
@@ -122,8 +136,15 @@ func Kron(scale, degree int, opt GenOptions) (*CSR, error) {
 
 // Uniform generates a 2^scale-vertex uniform-random graph with
 // degree*2^scale edges (the "urand" dataset of Table III): both endpoints
-// of every edge are drawn uniformly.
+// of every edge are drawn uniformly, U then V. As in RMAT, the edges are
+// drawn on all runtime.GOMAXPROCS(0) CPUs, and the graph does not depend
+// on the CPU count.
 func Uniform(scale, degree int, opt GenOptions) (*CSR, error) {
+	return uniform(scale, degree, opt, runtime.GOMAXPROCS(0))
+}
+
+// uniform is Uniform drawn and built by workers goroutines.
+func uniform(scale, degree int, opt GenOptions, workers int) (*CSR, error) {
 	if scale < 1 || scale > 30 {
 		return nil, fmt.Errorf("graph: Uniform scale %d out of range [1,30]", scale)
 	}
@@ -133,18 +154,20 @@ func Uniform(scale, degree int, opt GenOptions) (*CSR, error) {
 	n := 1 << scale
 	m := n * degree
 	r := NewRNG(opt.Seed ^ 0x1234_5678_9abc_def0)
-	edges := make([]Edge, 0, m)
-	for i := 0; i < m; i++ {
-		edges = append(edges, Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))})
-	}
-	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
+	edges := make([]Edge, m)
+	drawEdges(r, workers, edges, 2, func(r *RNG, part []Edge) {
+		for i := range part {
+			part[i] = Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))}
+		}
+	})
+	opt.assignWeights(edges, r, workers)
+	return fromEdges(edges, BuildOptions{
 		NumVertices:   n,
 		Symmetrize:    opt.Symmetrize,
 		Dedupe:        true,
 		DropSelfLoops: true,
 		Weighted:      opt.Weighted,
-	})
+	}, workers)
 }
 
 // Grid generates a rows×cols 2D mesh: each cell connects to its 4-neighbors.
@@ -152,13 +175,18 @@ func Uniform(scale, degree int, opt GenOptions) (*CSR, error) {
 // diameter is large but not degenerate, approximating a road network (the
 // "road" dataset of Table III: low degree, huge diameter, high locality).
 func Grid(rows, cols int, opt GenOptions) (*CSR, error) {
+	return grid(rows, cols, opt, runtime.GOMAXPROCS(0))
+}
+
+// grid is Grid built by workers goroutines.
+func grid(rows, cols int, opt GenOptions, workers int) (*CSR, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("graph: Grid %dx%d invalid", rows, cols)
 	}
-	n := rows * cols
-	if n > 1<<30 {
-		return nil, fmt.Errorf("graph: Grid %dx%d too large", rows, cols)
+	if rows > MaxVertices/cols {
+		return nil, fmt.Errorf("graph: Grid %dx%d has more than MaxVertices (%d) vertices", rows, cols, MaxVertices)
 	}
+	n := rows * cols
 	id := func(rr, cc int) uint32 { return uint32(rr*cols + cc) }
 	r := NewRNG(opt.Seed ^ 0xfeed_f00d_dead_beef)
 	edges := make([]Edge, 0, 2*n+n/16)
@@ -176,26 +204,32 @@ func Grid(rows, cols int, opt GenOptions) (*CSR, error) {
 	for i := 0; i < n/16; i++ {
 		edges = append(edges, Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))})
 	}
-	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
+	opt.assignWeights(edges, r, workers)
+	return fromEdges(edges, BuildOptions{
 		NumVertices:   n,
 		Symmetrize:    true, // roads are undirected
 		Dedupe:        true,
 		DropSelfLoops: true,
 		Weighted:      opt.Weighted,
-	})
+	}, workers)
 }
 
 // SocialNetwork generates an orkut/livejournal-style proxy: an RMAT graph
 // with a moderately skewed partition whose vertex IDs are then randomly
 // relabeled. Real SNAP social graphs have heavy-tailed degrees but little
 // ID locality; the relabeling destroys the RMAT generator's ID locality to
-// match.
+// match. The relabeling permutation is drawn sequentially; the RMAT
+// draws, the weights and both builds use all runtime.GOMAXPROCS(0) CPUs.
 func SocialNetwork(scale, degree int, opt GenOptions) (*CSR, error) {
-	g, err := RMAT(scale, degree, 0.45, 0.22, 0.22, GenOptions{
+	return socialNetwork(scale, degree, opt, runtime.GOMAXPROCS(0))
+}
+
+// socialNetwork is SocialNetwork drawn and built by workers goroutines.
+func socialNetwork(scale, degree int, opt GenOptions, workers int) (*CSR, error) {
+	g, err := rmat(scale, degree, 0.45, 0.22, 0.22, GenOptions{
 		Seed:     opt.Seed ^ 0x50c1a1,
 		Weighted: false, // relabel first, then weights
-	})
+	}, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -207,12 +241,12 @@ func SocialNetwork(scale, degree int, opt GenOptions) (*CSR, error) {
 			edges = append(edges, Edge{U: perm[u], V: perm[v]})
 		}
 	}
-	opt.assignWeights(edges, r)
-	return FromEdges(edges, BuildOptions{
+	opt.assignWeights(edges, r, workers)
+	return fromEdges(edges, BuildOptions{
 		NumVertices:   g.NumVertices(),
 		Symmetrize:    opt.Symmetrize,
 		Dedupe:        true,
 		DropSelfLoops: true,
 		Weighted:      opt.Weighted,
-	})
+	}, workers)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -150,6 +151,60 @@ func TestRNGDeterminism(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("same-seed RNGs diverged")
+		}
+	}
+}
+
+// TestRNGSkip checks that a generator skipped n draws returns the
+// (n+1)-th draw of the sequence, and goes on from there.
+func TestRNGSkip(t *testing.T) {
+	for _, n := range []uint64{0, 1, 17, 1 << 20} {
+		seq, skipped := NewRNG(12), NewRNG(12)
+		for range n {
+			seq.Uint64()
+		}
+		skipped.skip(n)
+		for i := range 3 {
+			if got, want := skipped.Uint64(), seq.Uint64(); got != want {
+				t.Fatalf("skip(%d): draw %d is %#x, want %#x", n, n+uint64(i)+1, got, want)
+			}
+		}
+	}
+}
+
+// TestBuildIndependentOfWorkers checks that every generator builds the
+// same graph, offsets, neighbors, weights and symmetric flag, whatever
+// number of workers draws its edges and sorts its lists.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	builds := []struct {
+		name  string
+		build func(opt GenOptions, workers int) (*CSR, error)
+	}{
+		{"kron", func(opt GenOptions, workers int) (*CSR, error) {
+			return rmat(12, 16, 0.57, 0.19, 0.19, opt, workers)
+		}},
+		{"urand", func(opt GenOptions, workers int) (*CSR, error) { return uniform(11, 8, opt, workers) }},
+		{"social", func(opt GenOptions, workers int) (*CSR, error) { return socialNetwork(10, 12, opt, workers) }},
+		{"grid", func(opt GenOptions, workers int) (*CSR, error) { return grid(50, 60, opt, workers) }},
+	}
+	for _, b := range builds {
+		for _, weighted := range []bool{false, true} {
+			for _, sym := range []bool{false, true} {
+				opt := GenOptions{Seed: 8, Weighted: weighted, MaxWeight: 20, Symmetrize: sym}
+				want, err := b.build(opt, 1)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", b.name, opt, err)
+				}
+				for _, workers := range []int{2, 3, 7} {
+					got, err := b.build(opt, workers)
+					if err != nil {
+						t.Fatalf("%s %+v, %d workers: %v", b.name, opt, workers, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %+v: %d workers built %v, one worker %v", b.name, opt, workers, got, want)
+					}
+				}
+			}
 		}
 	}
 }

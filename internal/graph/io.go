@@ -10,10 +10,20 @@ import (
 
 // ReadEdgeList parses a whitespace-separated edge list ("u v" or
 // "u v w" per line, '#' and '%' comments ignored — the SNAP/GAP .el/.wel
-// format) and builds a CSR with the given options. Weights present in the
-// input are kept only when opt.Weighted is set; absent weights default
-// to 1.
+// format) and builds a CSR with the given options through FromEdges, so
+// with NumVertices 0 a vertex ID of MaxVertices or more is an error.
+// Weights present in the input are kept only when opt.Weighted is set;
+// absent weights default to 1.
 func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
+	edges, err := parseEdgeList(r)
+	if err != nil {
+		return nil, err
+	}
+	return FromEdges(edges, opt)
+}
+
+// parseEdgeList parses ReadEdgeList's format into an edge list.
+func parseEdgeList(r io.Reader) ([]Edge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	var edges []Edge
@@ -48,7 +58,7 @@ func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %w", err)
 	}
-	return FromEdges(edges, opt)
+	return edges, nil
 }
 
 // WriteEdgeList writes g in the format ReadEdgeList parses ("u v" per

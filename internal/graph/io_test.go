@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -100,4 +101,75 @@ func TestEdgeListRoundTripUnweighted(t *testing.T) {
 	if back.NumEdges() != orig.NumEdges() || back.Weighted() {
 		t.Fatalf("round trip: %v", back)
 	}
+}
+
+// FuzzReadEdgeList feeds arbitrary bytes to ReadEdgeList, with the four
+// BuildOptions flags taken from the first byte and NumVertices fixed at
+// 1<<10, so a fuzzed ID can never size the graph. It must never panic. A
+// graph it accepts must be valid, with every list sorted (strictly under
+// Dedupe) and free of self loops under DropSelfLoops; a symmetrized one
+// must equal its general transpose; and it must equal the parsed edges
+// built by one worker and by referenceFromEdges.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"\x0f# comment\n% another\n\n0 1\n1 2\n2 0\n",
+		"\x0b0 1 5\n0 1 -3\n1 0 9\n2 1 4\n0 2\n",
+		"\x060 1\n0 1\n1 1\n1 0\n2 2 7\n",
+		"\x0c3 3 1\n3 4 2\n4 3 2\n3 3 5\n",
+		"\x000 1024\n",
+		"\x010 x\n",
+		"\x08 0 1 2147483648\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var flags byte
+		if len(data) > 0 {
+			flags, data = data[0], data[1:]
+		}
+		opt := BuildOptions{
+			NumVertices:   1 << 10,
+			Symmetrize:    flags&1 != 0,
+			Dedupe:        flags&2 != 0,
+			DropSelfLoops: flags&4 != 0,
+			Weighted:      flags&8 != 0,
+		}
+		g, err := ReadEdgeList(bytes.NewReader(data), opt)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		for u := range uint32(g.NumVertices()) {
+			nb := g.Neighbors(u)
+			for i := 1; i < len(nb); i++ {
+				if nb[i] < nb[i-1] || opt.Dedupe && nb[i] == nb[i-1] {
+					t.Fatalf("%+v: vertex %d's list %v is not sorted", opt, u, nb)
+				}
+			}
+			if opt.DropSelfLoops && slices.Contains(nb, u) {
+				t.Fatalf("%+v: vertex %d keeps a self loop", opt, u)
+			}
+		}
+		if opt.Symmetrize && !sameCSR(g.transpose(), g) {
+			t.Fatalf("%+v: symmetrized graph differs from its transpose", opt)
+		}
+		edges, err := parseEdgeList(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("parseEdgeList rejects what ReadEdgeList accepted: %v", err)
+		}
+		one, err := fromEdges(edges, opt, 1)
+		if err != nil {
+			t.Fatalf("%+v: one worker: %v", opt, err)
+		}
+		ref, err := referenceFromEdges(edges, opt)
+		if err != nil {
+			t.Fatalf("%+v: reference: %v", opt, err)
+		}
+		if !sameCSR(g, one) || !sameCSR(g, ref) {
+			t.Fatalf("%+v: graph differs from the one-worker or reference build of %v", opt, edges)
+		}
+	})
 }

@@ -11,14 +11,22 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// rngStep is what each draw adds to the state before mixing it.
+const rngStep = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += rngStep
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// skip advances the generator past n draws in one step: the state is a
+// counter raised by rngStep per draw (mod 2^64), so a skipped copy yields
+// exactly the draws the original would make after its next n.
+func (r *RNG) skip(n uint64) { r.state += n * rngStep }
 
 // Uint32 returns the next 32 pseudo-random bits.
 func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
