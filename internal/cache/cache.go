@@ -153,6 +153,15 @@ const noTag = ^uint64(0) //droplet:addr line
 // used first, so the way before the head is the tail.
 type link struct{ prev, next uint16 }
 
+// setHead names a set's most recently used way and keeps a copy of that
+// way's tag beside it, so a probe that hits the head compares one loaded
+// word. Every change of a set's head or of its head way's tag rewrites
+// both fields.
+type setHead struct {
+	tag uint64 //droplet:addr line
+	way uint16
+}
+
 // fpLow and fpHigh are the per-byte constants of the SWAR zero-byte test
 // that compares a wanted fingerprint with eight ways' at once.
 const (
@@ -191,18 +200,21 @@ type Cache struct {
 	// the set has one, else the least recently used line. Every kind keeps
 	// the list, because the head is also the way every probe tries first:
 	// graph workloads hit the same hot line repeatedly (offsets, frontier
-	// words).
+	// words). Each head carries its way's tag (see setHead).
 	links []link
-	heads []uint16
+	heads []setHead
 	// fps holds one fingerprint byte per way (see fingerprint), eight to a
 	// word, fpWords words per set. A valid way's byte is always its tag's
 	// fingerprint, so a probe whose byte matches no way has proved the
 	// line absent without comparing a tag.
 	fps []uint64
-	// absent is the line the last Access missed on, or noTag once a line
-	// has been installed since. Only a Fill installs a line, so the line
-	// is still absent when the Fill that follows the miss runs, and that
-	// Fill skips its merge probe.
+	// absent is the line the last Access, Lookup or Promote missed on, or
+	// noTag once a line has been installed since. Only a Fill installs a
+	// line, so the line is still absent when the Fill that follows the
+	// miss runs, and that Fill skips its merge probe. Invalidate, MarkDirty
+	// and MarkUpper leave it alone: their misses rarely precede a Fill of
+	// the same line, and overwriting the memo would cost the Fill of the
+	// line a demand just missed on.
 	absent uint64 //droplet:addr line
 
 	// Replacement-policy state (see policy.go). kind routes the per-access
@@ -239,6 +251,10 @@ func New(cfg Config) *Cache {
 		links[i] = link{prev: uint16((w + cfg.Assoc - 1) % cfg.Assoc), next: uint16((w + 1) % cfg.Assoc)}
 	}
 	fpWords := (cfg.Assoc + 7) / 8
+	heads := make([]setHead, numSets)
+	for i := range heads {
+		heads[i].tag = noTag
+	}
 	c := &Cache{
 		cfg:      cfg,
 		setMask:  uint64(numSets - 1),
@@ -248,7 +264,7 @@ func New(cfg Config) *Cache {
 		tags:     tags,
 		meta:     make([]meta, lines),
 		links:    links,
-		heads:    make([]uint16, numSets),
+		heads:    heads,
 		fps:      make([]uint64, numSets*fpWords),
 		absent:   noTag,
 		kind:     cfg.Policy,
@@ -271,12 +287,15 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() *Stats { return &c.stats }
 
 // Lookup probes for addr without updating stats or recency. It returns
-// the line's readiness time when present.
+// the line's readiness time when present; a miss records the line in
+// absent, so a Fill of it that follows skips its merge probe.
 //
 //droplet:addr addr byte
 func (c *Cache) Lookup(addr mem.Addr) (readyAt int64, ok bool) {
-	idx, ok := c.find(uint64(addr >> mem.LineShift))
+	la := uint64(addr >> mem.LineShift)
+	idx, ok := c.find(la)
 	if !ok {
+		c.absent = la
 		return 0, false
 	}
 	return c.meta[idx].ready, true
@@ -292,22 +311,23 @@ func (c *Cache) fingerprint(la uint64) uint64 {
 }
 
 // find returns the flat way index holding line la and changes no state;
-// idx means nothing when ok is false. It probes the set's head way, then
-// compares la's fingerprint with every way's, a word at a time, and the
-// tag of each way whose byte matches. The zero-byte test flags every
-// matching byte (and, rarely, a byte just above one), so the scan has no
-// false negatives; a set holds a line in at most one way (Fill merges a
-// refill of a resident line), so the first tag that matches is the line.
+// idx means nothing when ok is false. It compares la with the tag kept
+// beside the set's head, then compares la's fingerprint with every way's,
+// a word at a time, and the tag of each way whose byte matches. The
+// zero-byte test flags every matching byte (and, rarely, a byte just
+// above one), so the scan has no false negatives; a set holds a line in
+// at most one way (Fill merges a refill of a resident line), so the first
+// tag that matches is the line.
 //
 //droplet:hotpath
 //droplet:addr la line
 func (c *Cache) find(la uint64) (idx int, ok bool) {
 	si := la & c.setMask
 	base := int(si) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	if w := c.heads[si]; tags[w] == la {
-		return base + int(w), true
+	if h := c.heads[si]; h.tag == la {
+		return base + int(h.way), true
 	}
+	tags := c.tags[base : base+c.assoc]
 	want := c.fingerprint(la) * fpLow
 	fw := int(si) * c.fpWords
 	for i, word := range c.fps[fw : fw+c.fpWords] {
@@ -332,7 +352,7 @@ func (c *Cache) find(la uint64) (idx int, ok bool) {
 //droplet:hotpath
 //droplet:addr si set
 func (c *Cache) toHead(si uint64, w int) {
-	if uint16(w) != c.heads[si] {
+	if uint16(w) != c.heads[si].way {
 		c.relink(si, uint16(w))
 	}
 }
@@ -346,14 +366,14 @@ func (c *Cache) toHead(si uint64, w int) {
 func (c *Cache) relink(si uint64, w uint16) {
 	base := int(si) * c.assoc
 	l := c.links[base : base+c.assoc]
-	h := c.heads[si]
+	h := c.heads[si].way
 	if t := l[h].prev; w != t {
 		p, n := l[w].prev, l[w].next
 		l[p].next, l[n].prev = n, p
 		l[w] = link{prev: t, next: h}
 		l[t].next, l[h].prev = w, w
 	}
-	c.heads[si] = w
+	c.heads[si] = setHead{tag: c.tags[base+int(w)], way: w}
 }
 
 // Access performs a demand access at time now. On a hit it returns
@@ -403,8 +423,8 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 	if prefetch {
 		c.stats.PrefetchFills++
 	}
-	// A refill of a resident line merges in place; a line the last Access
-	// missed on is known to be absent.
+	// A refill of a resident line merges in place; a line the last Access,
+	// Lookup or Promote missed on is known to be absent.
 	if la != c.absent {
 		if idx, ok := c.find(la); ok {
 			c.merge(idx, readyAt, prefetch)
@@ -416,7 +436,7 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 	base := int(si) * c.assoc
 	var idx int
 	if c.kind == KindLRU {
-		idx = base + int(c.links[base+int(c.heads[si])].prev) // the tail
+		idx = base + int(c.links[base+int(c.heads[si].way)].prev) // the tail
 	} else {
 		idx = c.victimWay(base)
 	}
@@ -456,6 +476,7 @@ func (c *Cache) Fill(addr mem.Addr, dtype mem.DataType, readyAt int64, prefetch 
 		c.insertWay(idx, si, la, dtype, prefetch)
 	}
 	c.toHead(si, w)
+	c.heads[si].tag = la // the victim may have been the head way already
 	return v
 }
 
@@ -497,8 +518,10 @@ func (c *Cache) Invalidate(addr mem.Addr) Victim {
 	c.tags[idx] = noTag
 	// Splice the way in at the head, then step the head past it.
 	si := la & c.setMask
-	c.toHead(si, idx-int(si)*c.assoc)
-	c.heads[si] = c.links[idx].next
+	base := int(si) * c.assoc
+	c.toHead(si, idx-base)
+	next := c.links[idx].next
+	c.heads[si] = setHead{tag: c.tags[base+int(next)], way: next}
 	return v
 }
 
@@ -517,13 +540,15 @@ func (c *Cache) MarkUpper(addr mem.Addr, bit uint16) {
 // Promote makes a resident line its set's most recently used without
 // touching demand stats (used when a prefetch engine reads the line, e.g.
 // the LLC-to-L2 copy). It returns the line's readiness time and whether
-// the line was present; an absent line is left absent.
+// the line was present; an absent line is left absent, and recorded in
+// absent, so the prefetch fill that follows skips its merge probe.
 //
 //droplet:addr addr byte
 func (c *Cache) Promote(addr mem.Addr) (readyAt int64, ok bool) {
 	la := uint64(addr >> mem.LineShift)
 	idx, ok := c.find(la)
 	if !ok {
+		c.absent = la
 		return 0, false
 	}
 	c.promoteWay(idx)

@@ -197,14 +197,17 @@ func TestSubLineAddressesShareLine(t *testing.T) {
 }
 
 // TestPropLRUMatchesReferenceModel cross-checks the cache against a naive
-// per-set LRU list model under random sequences of every probe: Access
-// (a miss followed by its Fill), Lookup, Invalidate, Promote and
-// MarkDirty. The geometries cover a fingerprint word with padding bytes
-// (4 ways), one full word (8), sets of several words (16 and 32) and one
-// set of 32 ways (Fig. 4b's quadrupled L2). A deferred miss leaves its
-// Fill until after the next op, so an Invalidate or Promote can land
-// between an Access miss and its Fill, and a second miss on the line
-// makes the deferred Fill merge.
+// per-set LRU list model under random sequences of every probe: Access,
+// Lookup and Promote (a miss of each followed by a Fill of its line, as
+// a demand or a prefetch fill follows one), Invalidate and MarkDirty. The
+// geometries cover a fingerprint word with padding bytes (4 ways), one
+// full word (8), sets of several words (16 and 32) and one set of 32
+// ways (Fig. 4b's quadrupled L2). A deferred miss leaves its Fill until
+// after the next op, so an Invalidate or Promote can land between a miss
+// and its Fill, and a second miss on the line makes the deferred Fill
+// merge. After every op each set's head must carry its head way's tag,
+// and after every miss of Access, Lookup or Promote the absent memo must
+// hold the missed line.
 func TestPropLRUMatchesReferenceModel(t *testing.T) {
 	for _, g := range []struct{ sets, ways int }{{2, 4}, {4, 8}, {2, 16}, {1, 32}} {
 		t.Run(fmt.Sprintf("%dx%d", g.sets, g.ways), func(t *testing.T) {
@@ -219,7 +222,8 @@ func TestPropLRUMatchesReferenceModel(t *testing.T) {
 // matchesLRUReference runs 400 random ops, drawn from seed, on a cache of
 // the given geometry and on the reference model, and reports whether every
 // outcome agreed: hits, victims and their dirty bits, and the readiness
-// Lookup, Access and Promote return.
+// Lookup, Access and Promote return. It also checks the two memos the
+// probes keep: the head tags and absent.
 func matchesLRUReference(t *testing.T, sets, ways int, seed uint64) bool {
 	c := newTest(sets*ways*mem.LineSize, ways)
 	rng := rand.New(rand.NewPCG(seed, 0))
@@ -315,18 +319,38 @@ func matchesLRUReference(t *testing.T, sets, ways int, seed uint64) bool {
 				}
 			}
 		}
+		probe := op == 0 || op == 2 || op >= 4 // Lookup, Promote, Access
+		if probe && i < 0 && c.absent != uint64(addr>>mem.LineShift) {
+			t.Logf("op %d missed on %#x but left absent at line %#x", op, addr, c.absent)
+			return false
+		}
+		if !headsAgree(t, c) {
+			return false
+		}
 		for _, p := range pending {
-			if !fill(p.addr, p.at) {
+			if !fill(p.addr, p.at) || !headsAgree(t, c) {
 				return false
 			}
 		}
 		pending = pending[:0]
-		if op >= 4 && i < 0 {
+		if probe && i < 0 {
 			if rng.IntN(2) == 0 {
 				pending = append(pending, fillAt{addr, at})
-			} else if !fill(addr, at) {
+			} else if !fill(addr, at) || !headsAgree(t, c) {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// headsAgree reports whether every set's head carries the tag of the way
+// it names.
+func headsAgree(t *testing.T, c *Cache) bool {
+	for si, h := range c.heads {
+		if tag := c.tags[si*c.assoc+int(h.way)]; h.tag != tag {
+			t.Logf("set %d: head way %d has tag %#x, head carries %#x", si, h.way, tag, h.tag)
+			return false
 		}
 	}
 	return true

@@ -342,31 +342,38 @@ func TestPolicyDemandPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPolicyConformance runs a mixed op stream under every policy and
-// checks the policy-independent invariants: stats balance, residency
-// bounds, and hits on resident lines.
+// TestPolicyConformance runs a mixed op stream under every policy, in a
+// 4-way cache and a direct-mapped one (where every victim is its set's
+// head way), and checks the policy-independent invariants: stats
+// balance, residency bounds, hits on resident lines, and each set's head
+// carrying its head way's tag.
 func TestPolicyConformance(t *testing.T) {
 	for _, k := range AllKinds() {
-		c := newPolicyTest(4<<10, 4, k, 7)
-		capacity := (4 << 10) / mem.LineSize
-		for i := 0; i < 4096; i++ {
-			addr := lineAddr(i % (3 * capacity / 2))
-			if _, ok := c.Access(addr, mem.Structure, false, int64(i)); !ok {
-				c.Fill(addr, mem.Structure, int64(i), false)
+		for _, assoc := range []int{4, 1} {
+			c := newPolicyTest(4<<10, assoc, k, 7)
+			capacity := (4 << 10) / mem.LineSize
+			for i := 0; i < 4096; i++ {
+				addr := lineAddr(i % (3 * capacity / 2))
 				if _, ok := c.Access(addr, mem.Structure, false, int64(i)); !ok {
-					t.Fatalf("%v: just-filled line %#x missed", k, addr)
+					c.Fill(addr, mem.Structure, int64(i), false)
+					if _, ok := c.Access(addr, mem.Structure, false, int64(i)); !ok {
+						t.Fatalf("%v, %d-way: just-filled line %#x missed", k, assoc, addr)
+					}
+				}
+				if i%97 == 0 {
+					c.Invalidate(addr)
+				}
+				if !headsAgree(t, c) {
+					t.Fatalf("%v, %d-way: op %d left a stale head tag", k, assoc, i)
 				}
 			}
-			if i%97 == 0 {
-				c.Invalidate(addr)
+			st := c.Stats()
+			if st.TotalHits()+st.TotalMisses() != st.TotalAccesses() {
+				t.Errorf("%v, %d-way: hits %d + misses %d != accesses %d", k, assoc, st.TotalHits(), st.TotalMisses(), st.TotalAccesses())
 			}
-		}
-		st := c.Stats()
-		if st.TotalHits()+st.TotalMisses() != st.TotalAccesses() {
-			t.Errorf("%v: hits %d + misses %d != accesses %d", k, st.TotalHits(), st.TotalMisses(), st.TotalAccesses())
-		}
-		if n := c.ResidentLines(); n > capacity {
-			t.Errorf("%v: %d resident lines exceed capacity %d", k, n, capacity)
+			if n := c.ResidentLines(); n > capacity {
+				t.Errorf("%v, %d-way: %d resident lines exceed capacity %d", k, assoc, n, capacity)
+			}
 		}
 	}
 }

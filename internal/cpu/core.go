@@ -33,10 +33,19 @@ func DefaultConfig() Config {
 	return Config{ROBSize: 128, DispatchWidth: 4, LoadQueue: 48, StoreQueue: 32}
 }
 
+// MaxWindow is the largest ROBSize, LoadQueue or StoreQueue a core
+// accepts. Each sizes a ring or completion window that New allocates
+// whole, so an unbounded size would be an allocation the host cannot
+// make; Table I's quadrupled core (a 512-entry ROB) is far below it.
+const MaxWindow = 1 << 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.ROBSize < 1 || c.DispatchWidth < 1 || c.LoadQueue < 1 || c.StoreQueue < 1 {
 		return fmt.Errorf("cpu: non-positive config %+v", c)
+	}
+	if c.ROBSize > MaxWindow || c.LoadQueue > MaxWindow || c.StoreQueue > MaxWindow {
+		return fmt.Errorf("cpu: ROB, load queue or store queue above %d entries in %+v", MaxWindow, c)
 	}
 	return nil
 }
@@ -205,13 +214,19 @@ type Core struct {
 	// -1; dispatchCycle runs once or more per event, so the division is
 	// worth replacing with a shift for the common 4-wide config.
 	widthShift int
-	// window holds the events inside the current ROB window in program
-	// order (instr ascending); head indexes its logical front.
-	window []robEntry
-	head   int
-	loadQ  inflight.Window // outstanding load completion times
-	storeQ inflight.Window // outstanding store completion times
-	dramQ  inflight.Window // outstanding DRAM-load completion times (MLP histogram)
+	// rob holds the memory instructions inside the current ROB window in
+	// program order (instr ascending): a ring of a power of two at or above
+	// ROBSize slots, live from sequence number robHead up to robTail, each
+	// masked by robMask. Step pops every entry ROBSize or more
+	// instructions old before it pushes one, and instructions are
+	// distinct, so at most ROBSize entries are ever live.
+	rob     []robEntry
+	robMask int
+	robHead int
+	robTail int
+	loadQ   inflight.Window // outstanding load completion times
+	storeQ  inflight.Window // outstanding store completion times
+	dramQ   inflight.Window // outstanding DRAM-load completion times (MLP histogram)
 
 	stats Stats
 }
@@ -222,16 +237,16 @@ type Core struct {
 // The completion ring gets the smallest power of two at or above span
 // slots (one for a span of 0), and it resolves every dependency up to
 // the ring's size back; one reaching further panics rather than reading
-// an overwritten slot. The core pulls its first batch before New
-// returns. Invalid configs panic.
+// an overwritten slot. The ROB window is a ring of the smallest power of
+// two at or above cfg.ROBSize entries, and the load and store queues are
+// completion windows of their configured sizes, all allocated here
+// (Validate caps each size at MaxWindow). The core pulls its first batch
+// before New returns. Invalid configs panic.
 func New(id int, cfg Config, port MemPort, src EventSource, span int) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	ring := 1
-	for ring < span {
-		ring <<= 1
-	}
+	ring, rob := ceilPow2(span), ceilPow2(cfg.ROBSize)
 	widthShift := -1
 	if w := cfg.DispatchWidth; w&(w-1) == 0 {
 		widthShift = bits.TrailingZeros64(uint64(w))
@@ -247,12 +262,23 @@ func New(id int, cfg Config, port MemPort, src EventSource, span int) *Core {
 		warm:       warm,
 		completeAt: make([]int64, ring),
 		widthShift: widthShift,
+		rob:        make([]robEntry, rob),
+		robMask:    rob - 1,
 		loadQ:      inflight.New(cfg.LoadQueue),
 		storeQ:     inflight.New(cfg.StoreQueue),
 		dramQ:      inflight.New(cfg.LoadQueue),
 	}
 	c.refill()
 	return c
+}
+
+// ceilPow2 returns the smallest power of two at or above n (1 for n <= 1).
+func ceilPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 // NewCore builds a core over a materialized stream whose dependencies
@@ -377,17 +403,16 @@ func (c *Core) Step() {
 	// ROB window: this instruction may only dispatch once every
 	// instruction ROBSize or more older has retired. Retirement is
 	// in-order, so the newest such event carries the binding time.
-	for c.head < len(c.window) && c.window[c.head].instr <= c.instr-int64(c.cfg.ROBSize) {
-		if r := c.window[c.head].retire; r > dispatch {
-			dispatch = r
+	for ; c.robHead != c.robTail; c.robHead++ {
+		e := &c.rob[c.robHead&c.robMask]
+		if e.instr > c.instr-int64(c.cfg.ROBSize) {
+			break
+		}
+		if e.retire > dispatch {
+			dispatch = e.retire
 			c.slots = dispatch * int64(c.cfg.DispatchWidth)
 			c.stats.ROBStalls++
 		}
-		c.head++
-	}
-	if c.head > 1024 && c.head*2 > len(c.window) {
-		c.window = append(c.window[:0], c.window[c.head:]...)
-		c.head = 0
 	}
 
 	switch ev.Kind {
@@ -552,5 +577,6 @@ func (c *Core) StepFast(warm bool) {
 }
 
 func (c *Core) recordROB(retire int64) {
-	c.window = append(c.window, robEntry{instr: c.instr, retire: retire})
+	c.rob[c.robTail&c.robMask] = robEntry{instr: c.instr, retire: retire}
+	c.robTail++
 }

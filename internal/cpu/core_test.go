@@ -1,6 +1,10 @@
 package cpu
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -431,5 +435,97 @@ func TestRingSpanGuard(t *testing.T) {
 				drain(newCore(&fixedPort{}, stream(tc.ring+1, kind), tc.span))
 			}()
 		}
+	}
+}
+
+// TestROBWindowPins pins a core's Stats on one fixed synthetic stream for
+// ROB sizes of 1, 3, 96, 128 and 512 entries. The ROB window is a ring
+// rounded up to a power of two (1, 4, 128, 128, 512 slots), so the odd
+// sizes check that the rounding never lets an entry outlive its window.
+// Every fourth block of 512 events is fast-forwarded, leaving entries in
+// the window that the next detailed step retires. The pinned values are
+// those of a window that grows by append and never wraps, the oracle for
+// the ring; the digest covers every Stats field.
+func TestROBWindowPins(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	evs := make([]trace.Event, 20000)
+	for i := range evs {
+		ev := trace.Event{
+			Addr: mem.LineAddrOf(rng.IntN(1 << 12)),
+			Dep:  trace.NoDep, Comp: uint16(rng.IntN(3)),
+			Kind: trace.KindLoad, DType: mem.DataType(rng.IntN(3)),
+		}
+		if rng.IntN(5) == 0 {
+			ev.Kind = trace.KindStore
+		}
+		if i > 0 && rng.IntN(8) == 0 {
+			ev.Dep = int32(i - 1 - rng.IntN(min(i, 64)))
+		}
+		evs[i] = ev
+	}
+	for _, tc := range []struct {
+		rob                    int
+		cycles, robStalls, lqs int64
+		digest                 string
+	}{
+		{1, 1209013, 15351, 0, "b659fecef4bd862b"},
+		{3, 952363, 9815, 0, "e2b2b60fd6806e5e"},
+		{96, 84907, 1182, 0, "e51c6834a70581e1"},
+		{128, 68296, 889, 0, "0a8cdf6df65b1460"},
+		{512, 26841, 229, 174, "7d75f409f316272a"},
+	} {
+		cfg := DefaultConfig()
+		cfg.ROBSize = tc.rob
+		port := &fixedPort{
+			latency: map[mem.DataType]int64{0: 4, 1: 40, 2: 250},
+			level:   map[mem.DataType]memsys.Level{1: memsys.LevelL3, 2: memsys.LevelDRAM},
+		}
+		src := trace.SliceSource(evs)
+		c := New(0, cfg, port, &src, len(evs))
+		for i := 0; !c.Done(); i++ {
+			if i/512%4 == 3 {
+				c.StepFast(false)
+			} else {
+				c.Step()
+			}
+		}
+		st := c.Stats()
+		sum := sha256.Sum256(fmt.Appendf(nil, "%+v", *st))
+		digest := hex.EncodeToString(sum[:8])
+		if st.Cycles != tc.cycles || st.ROBStalls != tc.robStalls || st.LQFullStalls != tc.lqs || digest != tc.digest {
+			t.Errorf("ROB %d: cycles %d, ROB stalls %d, LQ stalls %d, stats digest %s; want %d, %d, %d, %s",
+				tc.rob, st.Cycles, st.ROBStalls, st.LQFullStalls, digest, tc.cycles, tc.robStalls, tc.lqs, tc.digest)
+		}
+	}
+}
+
+// TestConfigValidate checks the bounds Validate puts on a core: every
+// size at least 1, and the ROB and both queues at most MaxWindow, the
+// largest ring or window New allocates.
+func TestConfigValidate(t *testing.T) {
+	with := func(f func(*Config)) Config {
+		cfg := DefaultConfig()
+		f(&cfg)
+		return cfg
+	}
+	for _, cfg := range []Config{
+		with(func(c *Config) { c.ROBSize = 0 }),
+		with(func(c *Config) { c.DispatchWidth = 0 }),
+		with(func(c *Config) { c.LoadQueue = -1 }),
+		with(func(c *Config) { c.ROBSize = MaxWindow + 1 }),
+		with(func(c *Config) { c.LoadQueue = MaxWindow + 1 }),
+		with(func(c *Config) { c.StoreQueue = MaxWindow + 1 }),
+	} {
+		if err := cfg.Validate(); err == nil || !strings.HasPrefix(err.Error(), "cpu: ") {
+			t.Errorf("Validate(%+v) = %v, want a cpu error", cfg, err)
+		}
+	}
+	big := Config{ROBSize: MaxWindow, DispatchWidth: 4, LoadQueue: MaxWindow, StoreQueue: MaxWindow}
+	if err := big.Validate(); err != nil {
+		t.Errorf("Validate(%+v) = %v, want nil", big, err)
+	}
+	src := trace.SliceSource([]trace.Event{load(0, mem.Property, trace.NoDep, 0)})
+	if c := New(0, big, &fixedPort{}, &src, 1); len(c.rob) != MaxWindow {
+		t.Errorf("ROB of %d entries got a ring of %d slots", MaxWindow, len(c.rob))
 	}
 }

@@ -15,10 +15,10 @@ package inflight
 // stay removed even when a later, lower threshold would have kept it.
 // Keeping the array sorted makes that exact eager prune a prefix pop
 // (usually zero or one entry) instead of an O(cap) filter-scan per
-// access, and Push is an insertion from the back that is O(1) when
-// completion times trend upward, as they do. The backing array is
-// allocated once, in New, and grows only if more entries stay live than
-// it has room for.
+// access, and Push is a linear insertion from the nearer end that is
+// O(1) when completion times trend upward, as they do. The backing array
+// is allocated once, in New, and grows only if more entries stay live
+// than it has room for.
 type Window struct {
 	buf  []int64 // buf[head:] holds the live entries, ascending
 	head int     // dead prefix below head awaits compaction
@@ -40,11 +40,16 @@ func (q *Window) Min() int64 { return q.buf[q.head] }
 
 // Push records completion time t, keeping buf[head:] sorted. The dead
 // prefix is compacted away only when the backing array is exhausted —
-// one memmove per ~capacity pushes instead of one per prune. Both hot
-// cases are O(1): a cache-hit completion is usually below every
-// outstanding DRAM completion and drops into the pruned gap in front of
-// head, and a DRAM completion usually lands at the back. The rare
-// middle insert binary-searches and shifts whichever side is shorter.
+// one memmove per ~capacity pushes instead of one per prune. Two cases
+// are O(1): a DRAM completion usually lands at the back, and a cache-hit
+// completion below every outstanding one drops into the pruned gap in
+// front of head. Any other t is a middle insert (38% of pushes in a
+// DROPLET PageRank run), placed by linear insertion from the nearer end:
+// below the live range's middle entry, and with a gap in front, the
+// entries below t shift down one slot each; otherwise the entries above
+// t shift up one slot each, stopping at head. Live windows are short and
+// t usually lands near an end, so a middle insert moves about three
+// entries.
 func (q *Window) Push(t int64) {
 	if len(q.buf) == cap(q.buf) && q.head > 0 {
 		// Compact, but keep half the reclaimed prefix as front slack:
@@ -65,24 +70,24 @@ func (q *Window) Push(t int64) {
 		q.buf[q.head] = t
 		return
 	}
-	lo, hi := q.head, n
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if q.buf[m] <= t {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if q.head > 0 && lo-q.head <= n-lo {
+	if q.head > 0 && t < q.buf[(q.head+n)/2] {
+		// buf[head] < t < the middle entry: the shift stops before it.
 		q.head--
-		copy(q.buf[q.head:lo-1], q.buf[q.head+1:lo])
-		q.buf[lo-1] = t
+		i := q.head
+		for q.buf[i+1] < t {
+			q.buf[i] = q.buf[i+1]
+			i++
+		}
+		q.buf[i] = t
 		return
 	}
-	q.buf = append(q.buf, 0)
-	copy(q.buf[lo+1:], q.buf[lo:])
-	q.buf[lo] = t
+	q.buf = append(q.buf, t)
+	i := n
+	for i > q.head && q.buf[i-1] > t {
+		q.buf[i] = q.buf[i-1]
+		i--
+	}
+	q.buf[i] = t
 }
 
 // Prune removes every entry that has completed by now (t <= now) — a

@@ -43,8 +43,8 @@ func window(capacity byte, ops ...byte) []byte { return append([]byte{capacity -
 func FuzzWindow(f *testing.F) {
 	// A new minimum drops into the pruned gap in front of head.
 	f.Add(window(2, opPush, 10, opPush, 20, opPrune, 10, opPush, 5))
-	// Middle inserts: the first shifts the shorter front side into the
-	// gap, the second (no gap left) shifts the back side.
+	// Middle inserts: the first shifts the front side into the gap, the
+	// second (no gap left) shifts the back side.
 	f.Add(window(4, opPush, 10, opPush, 20, opPush, 30, opPush, 40, opPush, 50, opPush, 60,
 		opPrune, 15, opPush, 25, opPush, 55))
 	// The backing array runs out with a dead prefix: Push compacts, then
@@ -54,6 +54,25 @@ func FuzzWindow(f *testing.F) {
 	f.Add(window(1, opPush, 5, opPush, 4, opPush, 3, opPush, 2, opPush, 1, opPush, 9))
 	// A prune at a lower threshold after a higher one resurrects nothing.
 	f.Add(window(4, opPush, 10, opPush, 20, opPush, 30, opPrune, 25, opPrune, 5, opPush, 15, opPrune, 12))
+	// A middle insert equal to the live range's middle entry (40 of
+	// 20..60), just below it and just above it: the two at or above it
+	// shift from the back, the one below from the front.
+	for _, v := range []byte{40, 39, 41} {
+		f.Add(window(8, opPush, 10, opPush, 20, opPush, 30, opPush, 40, opPush, 50, opPush, 60,
+			opPrune, 10, opPush, v))
+	}
+	// No gap in front of head and t below every live entry: the shift from
+	// the back must stop at head, not read the slot before it.
+	f.Add(window(4, opPush, 10, opPush, 20, opPush, 30, opPush, 5))
+	// Long shifts: a full array of 14 live entries compacts, then 75 lands
+	// just below the middle entry (80) and shifts seven entries down, or
+	// 85 lands just above it and shifts six up.
+	for _, v := range []byte{75, 85} {
+		f.Add(window(8, opPush, 1, opPush, 2, opPrune, 2,
+			opPush, 10, opPush, 20, opPush, 30, opPush, 40, opPush, 50, opPush, 60, opPush, 70,
+			opPush, 80, opPush, 90, opPush, 100, opPush, 110, opPush, 120, opPush, 130, opPush, 140,
+			opPush, v))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -139,6 +139,10 @@ type Hierarchy struct {
 	memos []translationMemo
 	pfbuf []prefetch.Req
 
+	// expediteFloor is the shortest wait either of expedite's alternatives
+	// can give (see expedite), fixed by the configured latencies.
+	expediteFloor int64
+
 	stats Stats
 }
 
@@ -199,6 +203,8 @@ func New(cfg Config, as *mem.AddressSpace) (*Hierarchy, error) {
 		memos: make([]translationMemo, cfg.Cores),
 		pfbuf: make([]prefetch.Req, 0, 64),
 	}
+	h.expediteFloor = min(int64(cfg.LLC.LatencyTag+cfg.LLC.LatencyData),
+		cfg.DRAM.RowHitCycles+cfg.DRAM.TransferCycles+int64(cfg.LLC.LatencyTag))
 	for i := 0; i < cfg.Cores; i++ {
 		l1Cfg := cfg.L1
 		l1Cfg.Seed = cache.SaltSeed(cfg.L1.Seed, 1<<8|uint64(i))
@@ -374,7 +380,7 @@ func (h *Hierarchy) Access(core int, vaddr mem.Addr, dtype mem.DataType, write b
 	}
 	paddr := pte.PhysAddr(vline)
 
-	if len(h.pending) > 0 {
+	if len(h.pending) > 0 && h.pending[0].ReadyAt <= now {
 		h.drainRefills(now)
 	}
 
@@ -509,8 +515,17 @@ func (h *Hierarchy) observeLLC(core int, vline, paddr mem.Addr, dtype mem.DataTy
 // been issued. Callers only invoke it when ready > now (the line is
 // actually in flight), keeping the call off the plain-hit fast path.
 //
+// An LLC copy is never ready before now + LLC.LatencyTag +
+// LLC.LatencyData, and a fresh demand read never before now +
+// RowHitCycles + TransferCycles + LLC.LatencyTag. A wait at or below the
+// smaller of the two (expediteFloor) therefore stands as it is, and
+// expedite returns it without probing the LLC or asking the MC.
+//
 //droplet:addr paddr byte
 func (h *Hierarchy) expedite(paddr mem.Addr, ready, now int64) int64 {
+	if ready-now <= h.expediteFloor {
+		return ready
+	}
 	llcLat := int64(h.cfg.LLC.LatencyTag + h.cfg.LLC.LatencyData)
 	if lr, ok := h.llc.Lookup(paddr); ok && lr < ready {
 		if alt := max(lr, now) + llcLat; alt < ready {

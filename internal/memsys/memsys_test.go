@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"droplet/internal/cache"
@@ -400,4 +401,106 @@ func TestAccessUnmappedPanics(t *testing.T) {
 		}
 	}()
 	fx.h.Access(0, 0xdead_beef_f000, mem.Property, false, 0)
+}
+
+// expediteNoFloor is expedite without its floor: it always probes the
+// LLC and asks the MC.
+func expediteNoFloor(h *Hierarchy, paddr mem.Addr, ready, now int64) int64 {
+	llcLat := int64(h.cfg.LLC.LatencyTag + h.cfg.LLC.LatencyData)
+	if lr, ok := h.llc.Lookup(paddr); ok && lr < ready {
+		if alt := max(lr, now) + llcLat; alt < ready {
+			ready = alt
+		}
+	}
+	if est := h.mc.EstimateDemand(paddr, now) + int64(h.cfg.LLC.LatencyTag); est < ready {
+		ready = est
+	}
+	return ready
+}
+
+// TestExpediteFloorIsExact: expedite's floor changes no wait. On a warmed
+// hierarchy, random (ready, now) pairs, with waits from one cycle to
+// three floors, get the same answer from expedite as from a copy that
+// always probes. The configs are Table I (the LLC copy sets the floor),
+// one whose DRAM row hit sets it, and two DRAM channels. Each config
+// must also see a wait one cycle above the floor that an alternative
+// shortens, so a floor one cycle too high would fail, and lines absent
+// from the LLC, which leave the fresh read as the only alternative.
+func TestExpediteFloorIsExact(t *testing.T) {
+	tableI := Config{
+		Cores: 4,
+		L1:    cache.Config{Name: "L1D", SizeBytes: 32 << 10, Assoc: 8, LatencyTag: 1, LatencyData: 4},
+		L2:    cache.Config{Name: "L2", SizeBytes: 256 << 10, Assoc: 8, LatencyTag: 3, LatencyData: 8},
+		LLC:   cache.Config{Name: "L3", SizeBytes: 8 << 20, Assoc: 16, LatencyTag: 10, LatencyData: 30},
+		DRAM:  dram.DefaultConfig(),
+	}
+	fastDRAM := tableI
+	fastDRAM.DRAM.RowHitCycles, fastDRAM.DRAM.RowMissCycles, fastDRAM.DRAM.TransferCycles = 12, 30, 2
+	twoChannels := tableI
+	twoChannels.DRAM.Channels = 2
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		floor int64
+	}{{"TableI", tableI, 40}, {"DRAMFloor", fastDRAM, 24}, {"TwoChannels", twoChannels, 40}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fx := newFixture(t, tc.cfg)
+			h := fx.h
+			if h.expediteFloor != tc.floor {
+				t.Fatalf("floor %d, want %d", h.expediteFloor, tc.floor)
+			}
+			rng := rand.New(rand.NewPCG(5, 9))
+			// Warm: demands and prefetches from every core over both
+			// regions, so lines sit in the LLC, rows are open and the MC's
+			// demand cursor has moved.
+			var addrs []mem.Addr
+			var clock int64
+			for i := 0; i < 4000; i++ {
+				r := fx.prop
+				if rng.IntN(2) == 0 {
+					r = fx.str
+				}
+				va := r.Base + mem.Addr(rng.IntN(int(r.Size)))
+				core := rng.IntN(tc.cfg.Cores)
+				clock += int64(rng.IntN(20))
+				if rng.IntN(4) == 0 {
+					h.ExecutePrefetch(prefetch.Req{Core: core, VAddr: va}, clock)
+				} else {
+					h.Access(core, va, r.Type, rng.IntN(8) == 0, clock)
+				}
+				pa, _ := fx.as.Translate(va)
+				addrs = append(addrs, mem.LineAddr(pa))
+			}
+			shortenedAbove, notInLLC := 0, 0
+			for i := 0; i < 20000; i++ {
+				// Most picks are recent lines, whose DRAM rows are open; a
+				// quarter are any line of the two regions, most of them
+				// never accessed and so absent from the LLC.
+				pa := addrs[len(addrs)-1-rng.IntN(len(addrs))/(1+rng.IntN(8))]
+				if rng.IntN(4) == 0 {
+					r := fx.prop
+					if rng.IntN(2) == 0 {
+						r = fx.str
+					}
+					pa, _ = fx.as.Translate(r.Base + mem.Addr(rng.IntN(int(r.Size))))
+				}
+				if _, ok := h.llc.Lookup(pa); !ok {
+					notInLLC++
+				}
+				now := clock + int64(rng.IntN(4000)) - 2000
+				ready := now + 1 + rng.Int64N(3*tc.floor)
+				want := expediteNoFloor(h, pa, ready, now)
+				if got := h.expedite(pa, ready, now); got != want {
+					t.Fatalf("expedite(%#x, ready %d, now %d) = %d, want %d", pa, ready, now, got, want)
+				}
+				if ready-now == tc.floor+1 && want < ready {
+					shortenedAbove++
+				}
+			}
+			if shortenedAbove == 0 || notInLLC == 0 {
+				t.Errorf("%d waits one cycle above the floor shortened, %d picks absent from the LLC; want some of each",
+					shortenedAbove, notInLLC)
+			}
+		})
+	}
 }

@@ -155,8 +155,13 @@ func SimulateStream(ctx context.Context, st *trace.Stream, cfg Config, opts Opti
 // core per stream, which newCore builds over the hierarchy's port. Both
 // trace modes build each core with cpu.New from the trace's per-core
 // source and its dependency span, so every completion ring is as small
-// as the kernel's longest producer-to-consumer link allows.
+// as the kernel's longest producer-to-consumer link allows. An invalid
+// core config is an error here, before anything is built, so cpu.New's
+// panic on one is never reached.
 func build(cfg Config, lay *trace.Layout, newCore func(i int, port cpu.MemPort) *cpu.Core) (*memsys.Hierarchy, *core.Attachment, []*cpu.Core, error) {
+	if err := cfg.CPU.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
 	h, err := memsys.New(cfg.memConfig(), lay.AS)
 	if err != nil {
 		return nil, nil, nil, err

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"droplet/internal/core"
+	"droplet/internal/cpu"
 	"droplet/internal/graph"
 	"droplet/internal/mem"
 	"droplet/internal/memsys"
@@ -278,5 +281,40 @@ func TestSimulationDeterminism(t *testing.T) {
 	}
 	if r1.BPKI() != r2.BPKI() || r1.L2HitRate() != r2.L2HitRate() {
 		t.Error("non-deterministic derived stats")
+	}
+}
+
+// TestInvalidCoreConfigIsAnError: a core config cpu.New would panic on
+// is an error from both trace modes, returned before anything is built,
+// and a ROB of cpu.MaxWindow entries still runs.
+func TestInvalidCoreConfigIsAnError(t *testing.T) {
+	g, err := graph.Kron(8, 4, graph.GenOptions{Seed: 3, Symmetrize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := trace.Options{Cores: 4, PRIters: 1}
+	modes := map[string]func(Config) (*Result, error){
+		"materialized": func(cfg Config) (*Result, error) {
+			tr, _ := trace.PageRank(g, g, opt)
+			return Run(tr, cfg)
+		},
+		"streamed": func(cfg Config) (*Result, error) {
+			return SimulateStream(context.Background(), trace.StreamPageRank(g, g, opt, trace.StreamConfig{}), cfg, Options{})
+		},
+	}
+	for name, run := range modes {
+		for _, rob := range []int{0, cpu.MaxWindow + 1} {
+			cfg := testMachine(core.NoPrefetch)
+			cfg.CPU.ROBSize = rob
+			res, err := run(cfg)
+			if err == nil || !strings.HasPrefix(err.Error(), "cpu: ") || res != nil {
+				t.Errorf("%s, ROB %d: result %v, error %v; want a cpu error", name, rob, res, err)
+			}
+		}
+		cfg := testMachine(core.NoPrefetch)
+		cfg.CPU.ROBSize = cpu.MaxWindow
+		if _, err := run(cfg); err != nil {
+			t.Errorf("%s, ROB %d: %v", name, cpu.MaxWindow, err)
+		}
 	}
 }
