@@ -207,3 +207,36 @@ func TestPublicAPIFromEdges(t *testing.T) {
 		t.Errorf("pagerank mass = %v", sum)
 	}
 }
+
+// TestPublicAPIInvalidMachineIsAnError: a DRAM or MPP size the machine
+// could not allocate, or an MPP table with no entries, is an error from
+// Run, not a panic while the machine is built.
+func TestPublicAPIInvalidMachineIsAnError(t *testing.T) {
+	g, err := droplet.Kron(8, 4, droplet.GraphOptions{Seed: 3, Symmetrize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := droplet.TraceOf(droplet.PR, g, droplet.TraceOptions{Cores: 4, PRIters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*droplet.MachineConfig)
+	}{
+		{"huge MRB", func(c *droplet.MachineConfig) { c.DRAM.MRBEntries = 1 << 50 }},
+		{"huge channel count", func(c *droplet.MachineConfig) { c.DRAM.Channels = 1 << 50 }},
+		{"huge VAB", func(c *droplet.MachineConfig) { c.Prefetch.MPP.VABEntries = 1 << 50 }},
+		{"empty VAB", func(c *droplet.MachineConfig) { c.Prefetch.MPP.VABEntries = 0 }},
+		{"empty MTLB", func(c *droplet.MachineConfig) { c.Prefetch.MPP.MTLBEntries = 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := droplet.PaperMachine()
+			cfg.Prefetcher = droplet.DROPLET
+			tc.set(&cfg)
+			if res, err := droplet.Run(tr, cfg); err == nil || res != nil {
+				t.Errorf("result %v, error %v; want an error", res, err)
+			}
+		})
+	}
+}

@@ -189,6 +189,7 @@ func (a *Attachment) Engines(buf []EngineSnapshot) []EngineSnapshot {
 
 // Attach wires the prefetch engines of kind k onto h for the workload
 // described by layout. It must be called before the simulation starts.
+// An MPP config that NewMPP would panic on is an error here.
 func Attach(k PrefetcherKind, h *memsys.Hierarchy, layout *trace.Layout, opt Options) (*Attachment, error) {
 	a := &Attachment{Kind: k}
 	n := h.NumCores()
@@ -204,7 +205,7 @@ func Attach(k PrefetcherKind, h *memsys.Hierarchy, layout *trace.Layout, opt Opt
 	scan := prefetch.LineScanner(layout.ScanStructureLine)
 
 	// wire attaches one engine through the hierarchy's level-agnostic
-	// seam, keeping the first wiring error.
+	// seam, keeping the first error (attachMPP's too).
 	var wireErr error
 	wire := func(c int, e prefetch.Engine) {
 		if err := h.AttachEngine(c, e); err != nil && wireErr == nil {
@@ -226,6 +227,12 @@ func Attach(k PrefetcherKind, h *memsys.Hierarchy, layout *trace.Layout, opt Opt
 
 	attachMPP := func(trigger prefetch.TriggerMode) {
 		cfg := opt.MPP
+		if err := cfg.Validate(); err != nil {
+			if wireErr == nil {
+				wireErr = err
+			}
+			return
+		}
 		cfg.Trigger = trigger
 		if k == MonoDROPLETL1 {
 			// The monolithic arrangement fills the L1, and its property

@@ -48,6 +48,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxEntries bounds the row buffers and the MRB entries a controller
+// holds, each counted over all its channels. NewMemoryController
+// allocates every channel's banks and MRB window up front, so an
+// unbounded count would be an allocation the host cannot make; Table
+// I's one channel of 8 banks and 256 MRB entries is far below it.
+const MaxEntries = 1 << 16
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.Channels < 1 || c.BanksPerChannel < 1 {
@@ -61,6 +68,11 @@ func (c Config) Validate() error {
 	}
 	if c.MRBEntries < 1 {
 		return fmt.Errorf("dram: MRBEntries %d < 1", c.MRBEntries)
+	}
+	if c.Channels > MaxEntries || c.BanksPerChannel > MaxEntries || c.MRBEntries > MaxEntries ||
+		c.Channels*c.BanksPerChannel > MaxEntries || c.Channels*c.MRBEntries > MaxEntries {
+		return fmt.Errorf("dram: %d channels of %d banks and %d MRB entries exceed %d banks or entries in all",
+			c.Channels, c.BanksPerChannel, c.MRBEntries, MaxEntries)
 	}
 	return nil
 }

@@ -18,11 +18,18 @@ func TestConfigValidate(t *testing.T) {
 		{Channels: 1, BanksPerChannel: 8, RowBits: 2, RowHitCycles: 1, RowMissCycles: 2, TransferCycles: 1, MRBEntries: 8},
 		{Channels: 1, BanksPerChannel: 8, RowBits: 13, RowHitCycles: 10, RowMissCycles: 5, TransferCycles: 1, MRBEntries: 8},
 		{Channels: 1, BanksPerChannel: 8, RowBits: 13, RowHitCycles: 10, RowMissCycles: 20, TransferCycles: 1, MRBEntries: 0},
+		{Channels: 1, BanksPerChannel: 8, RowBits: 13, RowHitCycles: 10, RowMissCycles: 20, TransferCycles: 1, MRBEntries: MaxEntries + 1},
+		{Channels: 256, BanksPerChannel: 512, RowBits: 13, RowHitCycles: 10, RowMissCycles: 20, TransferCycles: 1, MRBEntries: 8},
+		{Channels: 512, BanksPerChannel: 8, RowBits: 13, RowHitCycles: 10, RowMissCycles: 20, TransferCycles: 1, MRBEntries: 256},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d validated", i)
 		}
+	}
+	atCap := Config{Channels: 1, BanksPerChannel: MaxEntries, RowBits: 13, RowHitCycles: 10, RowMissCycles: 20, TransferCycles: 1, MRBEntries: MaxEntries}
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("config at MaxEntries: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"fmt"
 	"slices"
 
 	"droplet/internal/dram"
@@ -53,6 +54,21 @@ type MPPConfig struct {
 	// FillL1 routes property prefetches into the requesting core's L1
 	// (again the monolithic arrangement; DROPLET fills LLC+L2).
 	FillL1 bool
+}
+
+// MaxMPPEntries is the largest VABEntries or MTLBEntries an MPP
+// accepts. NewMPP allocates both tables whole, so an unbounded size
+// would be an allocation the host cannot make; Table V's 512-entry VAB
+// and 128-entry MTLB are far below it.
+const MaxMPPEntries = 1 << 16
+
+// Validate reports configuration errors.
+func (c MPPConfig) Validate() error {
+	if c.VABEntries < 1 || c.VABEntries > MaxMPPEntries || c.MTLBEntries < 1 || c.MTLBEntries > MaxMPPEntries {
+		return fmt.Errorf("prefetch: MPP VAB %d and MTLB %d entries must each be 1 to %d",
+			c.VABEntries, c.MTLBEntries, MaxMPPEntries)
+	}
+	return nil
 }
 
 // DefaultMPPConfig returns the Table V MPP parameters.
@@ -170,10 +186,10 @@ type MPP struct {
 
 // NewMPP builds an MPP. scan and props come from the workload layout
 // (software support of Section VI); the chip interface is bound when the
-// hierarchy wires the engine (ChipBinder).
+// hierarchy wires the engine (ChipBinder). An invalid config panics.
 func NewMPP(cfg MPPConfig, as *mem.AddressSpace, scan LineScanner, props []PropArray) *MPP {
-	if cfg.VABEntries < 1 || cfg.MTLBEntries < 1 {
-		panic("prefetch: bad MPP config")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &MPP{
 		pag:  newPAG(scan, props),

@@ -5,6 +5,23 @@ import (
 	"droplet/internal/mem"
 )
 
+type dobfsLayout struct {
+	l       *Layout
+	depthR  mem.Region
+	frontR  mem.Region
+	bitmapR mem.Region
+}
+
+func newDOBFSLayout(g *graph.CSR, n int) dobfsLayout {
+	l := NewLayout(g)
+	return dobfsLayout{
+		l:       l,
+		depthR:  l.AddProperty("dobfs.depth", n),
+		frontR:  l.AddScratch("dobfs.frontier", uint64(n+1)*4),
+		bitmapR: l.AddScratch("dobfs.bitmap", uint64(n/8+1)),
+	}
+}
+
 // DOBFS generates the trace of GAP's direction-optimizing BFS (an
 // extension beyond the paper's plain BFS benchmark). The bottom-up phase
 // has the access pattern the paper attributes to BFS's lower prefetch
@@ -19,20 +36,21 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 	if beta == 0 {
 		beta = 18
 	}
+	lay := newDOBFSLayout(g, g.NumVertices())
+	return materialize(lay.l, opt.Cores, opt.MaxEvents, func(b Sink) []int64 {
+		return emitDOBFS(b, g, tr, source, alpha, beta, lay, opt)
+	})
+}
+
+func emitDOBFS(b Sink, g, tr *graph.CSR, source uint32, alpha, beta int, lay dobfsLayout, opt Options) []int64 {
 	n := g.NumVertices()
-
-	l := NewLayout(g)
-	depthR := l.AddProperty("dobfs.depth", n)
-	frontR := l.AddScratch("dobfs.frontier", uint64(n+1)*4)
-	bitmapR := l.AddScratch("dobfs.bitmap", uint64(n/8+1))
-	b := NewBuilder(l, opt.Cores, opt.MaxEvents)
-
+	l := lay.l
 	depth := make([]int64, n)
 	for i := range depth {
 		depth[i] = infDist
 	}
 	if n == 0 {
-		return b.Build(), depth
+		return depth
 	}
 	depth[source] = 0
 
@@ -49,7 +67,7 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 			for c := 0; c < opt.Cores; c++ {
 				for _, v := range chunk(frontier, opt.Cores, c) {
 					inFrontier[v] = true
-					b.Store(c, bitmapR.Base+uint64(v/8), mem.Intermediate, NoDep)
+					b.Store(c, lay.bitmapR.Base+uint64(v/8), mem.Intermediate, NoDep)
 				}
 			}
 			b.Barrier()
@@ -59,7 +77,7 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 					lo, hi := shard(n, opt.Cores, c)
 					for v := lo; v < hi; v++ {
 						b.Compute(c, costVertex)
-						dDep := b.Load(c, l.PropAddr(depthR, uint32(v)), mem.Property, NoDep)
+						dDep := b.Load(c, l.PropAddr(lay.depthR, uint32(v)), mem.Property, NoDep)
 						if depth[v] != infDist {
 							continue
 						}
@@ -72,11 +90,11 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 							}
 							sDep := b.Load(c, l.StructAddr(i), mem.Structure, dep)
 							u := tr.NeighborAt(i)
-							b.Load(c, bitmapR.Base+uint64(u/8), mem.Intermediate, sDep)
+							b.Load(c, lay.bitmapR.Base+uint64(u/8), mem.Intermediate, sDep)
 							b.Compute(c, costEdge)
 							if inFrontier[u] {
 								depth[v] = level
-								b.Store(c, l.PropAddr(depthR, uint32(v)), mem.Property, dDep)
+								b.Store(c, l.PropAddr(lay.depthR, uint32(v)), mem.Property, dDep)
 								next = append(next, uint32(v))
 								break
 							}
@@ -86,7 +104,7 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 				level++
 				b.Barrier()
 				if len(next) == 0 {
-					return b.Build(), depth
+					return depth
 				}
 				if len(next) < n/beta {
 					frontier = next
@@ -96,7 +114,7 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 				for c := 0; c < opt.Cores; c++ {
 					for _, v := range chunk(next, opt.Cores, c) {
 						inFrontier[v] = true
-						b.Store(c, bitmapR.Base+uint64(v/8), mem.Intermediate, NoDep)
+						b.Store(c, lay.bitmapR.Base+uint64(v/8), mem.Intermediate, NoDep)
 					}
 				}
 				b.Barrier()
@@ -108,7 +126,7 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 				flo, _ := shard(len(frontier), opt.Cores, c)
 				for fi, u := range chunk(frontier, opt.Cores, c) {
 					b.Compute(c, costVertex)
-					fDep := b.Load(c, frontR.Base+uint64(flo+fi)*4, mem.Intermediate, NoDep)
+					fDep := b.Load(c, lay.frontR.Base+uint64(flo+fi)*4, mem.Intermediate, NoDep)
 					offDep := b.Load(c, l.OffsetAddr(u), mem.Intermediate, fDep)
 					elo, ehi := g.EdgeRange(u)
 					for i := elo; i < ehi; i++ {
@@ -118,11 +136,11 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 						}
 						sDep := b.Load(c, l.StructAddr(i), mem.Structure, dep)
 						v := g.NeighborAt(i)
-						b.Load(c, l.PropAddr(depthR, v), mem.Property, sDep)
+						b.Load(c, l.PropAddr(lay.depthR, v), mem.Property, sDep)
 						b.Compute(c, costEdge)
 						if depth[v] == infDist {
 							depth[v] = level
-							b.Store(c, l.PropAddr(depthR, v), mem.Property, sDep)
+							b.Store(c, l.PropAddr(lay.depthR, v), mem.Property, sDep)
 							perCoreNext[c] = append(perCoreNext[c], v)
 						}
 					}
@@ -141,5 +159,5 @@ func DOBFS(g, tr *graph.CSR, source uint32, alpha, beta int, opt Options) (*Trac
 			unexplored -= int64(g.Degree(u))
 		}
 	}
-	return b.Build(), depth
+	return depth
 }

@@ -51,9 +51,10 @@ type Trace struct {
 	// DepSpan is the longest producer-to-consumer distance in the trace:
 	// the maximum over every core's stream of i - Dep for each event i
 	// that has a producer. The simulator sizes each core's completion
-	// ring from it. Builder records it exactly; a hand-built trace must
-	// set it to at least its longest link, or the core's ring guard
-	// panics at the first dependency that reaches past it.
+	// ring from it. A materialized kernel trace records it exactly; a
+	// hand-built trace must set it to at least its longest link, or the
+	// core's ring guard panics at the first dependency that reaches past
+	// it.
 	DepSpan int
 }
 
@@ -90,143 +91,4 @@ func (t *Trace) Events() int64 {
 		n += int64(len(s))
 	}
 	return n
-}
-
-// Builder accumulates per-core event streams during kernel execution.
-// It is the materialized Sink implementation; the budget/instruction
-// bookkeeping lives in the shared acct so the streaming generator
-// truncates identically (see sink.go).
-//
-// While a kernel emits, each core's events go into fixed-size chunks
-// that are never regrown, so no event is copied until Build copies each
-// once into one array of exactly the trace's length.
-type Builder struct {
-	layout  *Layout
-	cores   []coreEvents
-	a       acct
-	depSpan int // longest i - Dep emitted so far (Trace.DepSpan)
-}
-
-// chunkEvents is the size of one emission chunk: 8 Ki events, 128 KiB.
-const chunkEvents = 8 << 10
-
-// coreEvents is one core's emitted events: the full chunks in emission
-// order, the chunk being filled, and the number of events emitted so far
-// (the next event's index).
-type coreEvents struct {
-	full [][]Event
-	cur  []Event
-	n    int32
-}
-
-// push appends ev to the core's stream and returns its index.
-func (ce *coreEvents) push(ev Event) int32 {
-	if len(ce.cur) == cap(ce.cur) {
-		if ce.cur != nil {
-			ce.full = append(ce.full, ce.cur)
-		}
-		ce.cur = make([]Event, 0, chunkEvents)
-	}
-	ce.cur = append(ce.cur, ev)
-	ce.n++
-	return ce.n - 1
-}
-
-// NewBuilder returns a builder for numCores streams with the given total
-// event budget (<= 0 for unlimited).
-func NewBuilder(layout *Layout, numCores int, budget int64) *Builder {
-	return &Builder{
-		layout: layout,
-		cores:  make([]coreEvents, numCores),
-		a:      newAcct(numCores, budget),
-	}
-}
-
-// Done reports whether the event budget has been exhausted; kernels keep
-// computing (so results stay exact) but stop emitting.
-func (b *Builder) Done() bool { return b.a.trunc }
-
-// Compute dispatches n compute instructions on core c.
-func (b *Builder) Compute(c, n int) { b.a.compute(c, n) }
-
-// Load emits a load on core c and returns its index in the core's stream
-// for use as a later Dep. dep is the producer load's index or NoDep.
-// After the budget is exhausted the load is counted but not stored, and
-// NoDep is returned.
-//
-//droplet:addr addr byte
-func (b *Builder) Load(c int, addr mem.Addr, dt mem.DataType, dep int32) int32 {
-	comp, ok := b.a.event(c)
-	if !ok {
-		return NoDep
-	}
-	idx := b.cores[c].push(Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindLoad, DType: dt})
-	b.link(idx, dep)
-	return idx
-}
-
-// Store emits a store on core c. dep is the load producing the store
-// address, or NoDep.
-//
-//droplet:addr addr byte
-func (b *Builder) Store(c int, addr mem.Addr, dt mem.DataType, dep int32) {
-	comp, ok := b.a.event(c)
-	if !ok {
-		return
-	}
-	b.link(b.cores[c].push(Event{Addr: addr, Dep: dep, Comp: comp, Kind: KindStore, DType: dt}), dep)
-}
-
-// link records the distance from event idx back to its producer dep.
-func (b *Builder) link(idx, dep int32) {
-	if dep >= 0 && int(idx-dep) > b.depSpan {
-		b.depSpan = int(idx - dep)
-	}
-}
-
-// Barrier emits a synchronization point into every core's stream, or
-// truncates under the all-or-nothing budget rule (see acct.barrier).
-func (b *Builder) Barrier() {
-	if !b.a.barrier() {
-		return
-	}
-	for c := range b.cores {
-		b.cores[c].push(Event{Dep: NoDep, Comp: b.a.take(c), Kind: KindBarrier})
-	}
-}
-
-// Build finalizes the trace: it copies every core's chunks, in core
-// order, into one array of exactly the trace's length, and each core's
-// part of it becomes its stream (nil for a core with no events). A
-// stream's capacity is clipped to its length, so appending to one core's
-// stream reallocates instead of overwriting the next core's events. The
-// Builder keeps its chunks, so Build may be called again.
-func (b *Builder) Build() *Trace {
-	var total int
-	for c := range b.cores {
-		total += int(b.cores[c].n)
-	}
-	all := make([]Event, total)
-	perCore := make([][]Event, len(b.cores))
-	lo := 0
-	for c := range b.cores {
-		ce := &b.cores[c]
-		if ce.n == 0 {
-			continue
-		}
-		hi := lo
-		for _, ch := range ce.full {
-			hi += copy(all[hi:], ch)
-		}
-		hi += copy(all[hi:], ce.cur)
-		perCore[c] = all[lo:hi:hi]
-		lo = hi
-	}
-	return &Trace{
-		Layout:       b.layout,
-		PerCore:      perCore,
-		Instructions: b.a.insts,
-		Truncated:    b.a.trunc,
-		DepSpan:      b.depSpan,
-	}
 }

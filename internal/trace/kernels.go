@@ -55,10 +55,10 @@ const (
 
 // Each kernel is split into a layout constructor (run once, shared
 // read-only by the streaming producers) and an emit body that writes
-// through the Sink interface. The public wrappers pair an emit body with
-// the materialized Builder; the Stream constructors pair the same body
-// with the bounded-window generator, so both modes execute literally the
-// same instrumented code.
+// through the Sink interface. The public wrappers pass an emit body to
+// materialize, which runs it once to count and once to fill; the Stream
+// constructors pair the same body with the bounded-window generator, so
+// both modes execute literally the same instrumented code.
 
 // ---- PageRank ----
 
@@ -83,9 +83,9 @@ func newPRLayout(tr *graph.CSR, n int) prLayout {
 func PageRank(g, tr *graph.CSR, opt Options) (*Trace, []float64) {
 	opt = opt.withDefaults()
 	lay := newPRLayout(tr, g.NumVertices())
-	b := NewBuilder(lay.l, opt.Cores, opt.MaxEvents)
-	sc := emitPageRank(b, g, tr, lay, opt)
-	return b.Build(), sc
+	return materialize(lay.l, opt.Cores, opt.MaxEvents, func(b Sink) []float64 {
+		return emitPageRank(b, g, tr, lay, opt)
+	})
 }
 
 // StreamPageRank returns a pull-based generator for the PageRank trace.
@@ -195,9 +195,9 @@ func newBFSLayout(g *graph.CSR, n int) bfsLayout {
 func BFS(g *graph.CSR, source uint32, opt Options) (*Trace, []int64) {
 	opt = opt.withDefaults()
 	lay := newBFSLayout(g, g.NumVertices())
-	b := NewBuilder(lay.l, opt.Cores, opt.MaxEvents)
-	depth := emitBFS(b, g, source, lay, opt)
-	return b.Build(), depth
+	return materialize(lay.l, opt.Cores, opt.MaxEvents, func(b Sink) []int64 {
+		return emitBFS(b, g, source, lay, opt)
+	})
 }
 
 // StreamBFS returns a pull-based generator for the BFS trace.
@@ -286,9 +286,9 @@ func SSSP(g *graph.CSR, source uint32, delta int64, opt Options) (*Trace, []int6
 		panic("trace: SSSP requires a weighted graph")
 	}
 	lay := newSSSPLayout(g, g.NumVertices())
-	b := NewBuilder(lay.l, opt.Cores, opt.MaxEvents)
-	dist := emitSSSP(b, g, source, delta, lay, opt)
-	return b.Build(), dist
+	return materialize(lay.l, opt.Cores, opt.MaxEvents, func(b Sink) []int64 {
+		return emitSSSP(b, g, source, delta, lay, opt)
+	})
 }
 
 // StreamSSSP returns a pull-based generator for the SSSP trace.
@@ -406,9 +406,9 @@ func newCCLayout(g *graph.CSR, n int) ccLayout {
 func CC(g *graph.CSR, opt Options) (*Trace, []uint32) {
 	opt = opt.withDefaults()
 	lay := newCCLayout(g, g.NumVertices())
-	b := NewBuilder(lay.l, opt.Cores, opt.MaxEvents)
-	comp := emitCC(b, g, lay, opt)
-	return b.Build(), comp
+	return materialize(lay.l, opt.Cores, opt.MaxEvents, func(b Sink) []uint32 {
+		return emitCC(b, g, lay, opt)
+	})
 }
 
 // StreamCC returns a pull-based generator for the CC trace.
@@ -526,9 +526,9 @@ func newBCLayout(g *graph.CSR, n int) bcLayout {
 func BC(g *graph.CSR, sources []uint32, opt Options) (*Trace, []float64) {
 	opt = opt.withDefaults()
 	lay := newBCLayout(g, g.NumVertices())
-	b := NewBuilder(lay.l, opt.Cores, opt.MaxEvents)
-	bc := emitBC(b, g, sources, lay, opt)
-	return b.Build(), bc
+	return materialize(lay.l, opt.Cores, opt.MaxEvents, func(b Sink) []float64 {
+		return emitBC(b, g, sources, lay, opt)
+	})
 }
 
 // StreamBC returns a pull-based generator for the BC trace.

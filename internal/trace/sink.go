@@ -3,11 +3,11 @@ package trace
 import "droplet/internal/mem"
 
 // Sink is the emission surface the instrumented kernels write through:
-// the materialized Builder and the streaming per-core generator both
-// implement it, so one kernel body produces either a complete *Trace or
-// a bounded-window event stream. Load returns the emitted event's index
-// in core c's stream for use as a later Dep (NoDep once the budget is
-// exhausted), exactly as Builder always has.
+// the materializer's counting and filling passes and the streaming
+// per-core generator all implement it, so one kernel body produces
+// either a complete *Trace or a bounded-window event stream. Load
+// returns the emitted event's index in core c's stream for use as a
+// later Dep (NoDep once the budget is exhausted).
 type Sink interface {
 	// Compute dispatches n compute instructions on core c.
 	Compute(c, n int)
@@ -56,9 +56,8 @@ func (a *acct) compute(c, n int) {
 }
 
 // take drains core c's pending compute count. It runs on every
-// Load/Store — including after truncation — matching the historical
-// Builder argument-evaluation order (Event construction evaluated
-// take(c) before push decided whether to store).
+// Load/Store, including the one that truncates and every one after it,
+// whose compute no stored event carries.
 func (a *acct) take(c int) uint16 {
 	p := a.pending[c]
 	a.pending[c] = 0
@@ -88,7 +87,7 @@ func (a *acct) event(c int) (comp uint16, ok bool) {
 // barrier would deadlock the simulated cores, and quietly overshooting
 // the cap made the stored-event count exceed the budget by up to
 // cores-1 events. The pending compute is NOT drained on the truncating
-// call (no events carry it), matching Builder's historical behavior.
+// call: no event will ever carry it.
 func (a *acct) barrier() bool {
 	if a.trunc {
 		return false

@@ -54,7 +54,7 @@ var errStreamStopped = errors.New("trace: stream stopped")
 // into a bounded batch window. Peak memory is O(window × cores) instead
 // of O(trace); the event sequence each consumer observes is identical to
 // the materialized PerCore stream, including budget truncation (the
-// accounting in sink.go is shared with Builder).
+// accounting in sink.go is shared with materialize).
 //
 // Producers re-execute the full kernel rather than sharing one run
 // because kernels emit core-major within barrier sections: a single
@@ -229,9 +229,10 @@ func (cs *CoreSource) Next(recycle []Event) []Event {
 }
 
 // streamSink is the per-producer Sink: full global accounting (shared
-// acct semantics with Builder), but only the target core's events are
-// materialized. counts mirrors the Builder's per-core event count so
-// returned dep indices are identical across all cores.
+// acct semantics with materialize), but only the target core's events
+// are materialized. counts mirrors the per-core event count of a
+// materialized trace so returned dep indices are identical across all
+// cores.
 type streamSink struct {
 	a      acct
 	target int

@@ -122,18 +122,16 @@ func runBudgetScript(b Sink) []int32 {
 	return deps
 }
 
-// TestStreamTruncationMatchesBuilder is the shared budget-accounting
-// regression: the same emission script runs through the materialized
-// Builder and the streaming sink with the same budget, and both must
-// truncate at the same point with identical stored events, identical
-// returned dep indices, and identical instruction counts — including the
-// all-or-nothing barrier overshoot rule.
-func TestStreamTruncationMatchesBuilder(t *testing.T) {
+// TestStreamTruncationMatchesMaterialized is the shared budget-accounting
+// regression: the same emission script is materialized and streamed with
+// the same budget, and both must truncate at the same point with
+// identical stored events, identical returned dep indices, and identical
+// instruction counts — including the all-or-nothing barrier overshoot
+// rule.
+func TestStreamTruncationMatchesMaterialized(t *testing.T) {
 	const cores, budget = 2, 6
 
-	bld := NewBuilder(nil, cores, budget)
-	wantDeps := runBudgetScript(bld)
-	m := bld.Build()
+	m, wantDeps := materialize(nil, cores, budget, runBudgetScript)
 	if !m.Truncated {
 		t.Fatal("script did not exercise truncation")
 	}
@@ -143,7 +141,7 @@ func TestStreamTruncationMatchesBuilder(t *testing.T) {
 	got := drainStream(st)
 	compareStreams(t, m, got)
 	if st.Instructions() != m.Instructions {
-		t.Errorf("stream instructions %d, builder %d", st.Instructions(), m.Instructions)
+		t.Errorf("stream instructions %d, materialized %d", st.Instructions(), m.Instructions)
 	}
 	if !st.Truncated() {
 		t.Error("stream not truncated")
@@ -165,7 +163,7 @@ func TestStreamTruncationMatchesBuilder(t *testing.T) {
 	}
 	for i := range wantDeps {
 		if gotDeps[i] != wantDeps[i] {
-			t.Errorf("dep %d: stream sink returned %d, builder %d", i, gotDeps[i], wantDeps[i])
+			t.Errorf("dep %d: stream sink returned %d, materialized %d", i, gotDeps[i], wantDeps[i])
 		}
 	}
 }

@@ -214,11 +214,12 @@ func TestAnalyzeDependenciesROBWindow(t *testing.T) {
 	// A producer farther than the ROB size cannot constrain the consumer.
 	l := &Layout{AS: mem.NewAddressSpace()}
 	r := l.AS.Malloc("p", mem.PageSize, mem.Property)
-	b := NewBuilder(l, 1, 0)
-	dep := b.Load(0, r.Base, mem.Property, NoDep)
-	b.Compute(0, 1000) // push the consumer 1000 instructions away
-	b.Load(0, r.Base+64, mem.Property, dep)
-	tr := b.Build()
+	tr, _ := materialize(l, 1, 0, func(b Sink) struct{} {
+		dep := b.Load(0, r.Base, mem.Property, NoDep)
+		b.Compute(0, 1000) // push the consumer 1000 instructions away
+		b.Load(0, r.Base+64, mem.Property, dep)
+		return struct{}{}
+	})
 
 	wide := AnalyzeDependencies(tr, 2048)
 	if wide.ConsumerLoads != 1 {
@@ -259,10 +260,11 @@ func TestLayoutAddressing(t *testing.T) {
 func TestBuilderComputeSaturation(t *testing.T) {
 	l := &Layout{AS: mem.NewAddressSpace()}
 	r := l.AS.Malloc("p", mem.PageSize, mem.Intermediate)
-	b := NewBuilder(l, 1, 0)
-	b.Compute(0, 100000) // exceeds uint16
-	b.Load(0, r.Base, mem.Intermediate, NoDep)
-	tr := b.Build()
+	tr, _ := materialize(l, 1, 0, func(b Sink) struct{} {
+		b.Compute(0, 100000) // exceeds uint16
+		b.Load(0, r.Base, mem.Intermediate, NoDep)
+		return struct{}{}
+	})
 	if tr.PerCore[0][0].Comp != 0xffff {
 		t.Errorf("Comp = %d, want saturated 0xffff", tr.PerCore[0][0].Comp)
 	}

@@ -112,6 +112,98 @@ func TestDatasetCSRDigests(t *testing.T) {
 	}
 }
 
+// traceDigest is the SHA-256 of a whole trace: per core, the stream's
+// length and then every event's fields, little-endian, followed by
+// Instructions, Truncated and DepSpan.
+func traceDigest(tr *trace.Trace) string {
+	h := sha256.New()
+	buf := make([]byte, 0, 16<<10)
+	flush := func() {
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	for _, stream := range tr.PerCore {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(stream)))
+		for _, ev := range stream {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(ev.Addr))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(ev.Dep))
+			buf = binary.LittleEndian.AppendUint16(buf, ev.Comp)
+			buf = append(buf, byte(ev.Kind), byte(ev.DType))
+			if len(buf) > cap(buf)-32 {
+				flush()
+			}
+		}
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.Instructions))
+	if tr.Truncated {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.DepSpan))
+	flush()
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTraceDigests pins every registry benchmark's quick-scale trace, and
+// DOBFS's (which has no stream twin to compare against) on the quick kron
+// and road graphs, so any change to how a trace is materialized that
+// moves one event, the instruction count, the truncation flag or the
+// dependency span fails here.
+func TestTraceDigests(t *testing.T) {
+	want := map[string]string{
+		"BC-kron":          "c17fbd72f2a98f8bd9677fe748fae23594d3e70e4ca296acaf9538e640c3f75a",
+		"BC-urand":         "666d2a375e516c37e22f66897a4d2da72675be15d8f329e5dfb23e8f0ea13b59",
+		"BC-orkut":         "81fc813149bb813e9a9c1c2cd7700a921745a23d640a909455ad251d1e4c4c8e",
+		"BC-livejournal":   "072c5d9c9631cdc2a533d996507705102d854b179e9896ff4d0d3848eb0d3a49",
+		"BC-road":          "e5465ee32ea93833691248ba24868b576945c38a613b83896d2fa53ffed8c7ca",
+		"BFS-kron":         "ff5394163edceecbda6d6167872b6506f12908d80e71f60b6c0d361bf02d273b",
+		"BFS-urand":        "a801227f6261df66f5947b32e90e02c4feecbe3310b1fc0d663a236cd825b742",
+		"BFS-orkut":        "9aac8b391ac7ea3f7b7fab00af5ca190d19151004bdb9978cf649ab2c5a4b326",
+		"BFS-livejournal":  "67944d3bf1d2cac4f7128523b0be1d73b7ea564e41966ad5b4e0ddfe29348a12",
+		"BFS-road":         "74f46d5956ac67d7775f704630bcba1e9170169618a9c4984de52ee893245886",
+		"PR-kron":          "97bf0f9f8a89f69ac525b3e290692f8f2589ca9193f518976c16a89096447bae",
+		"PR-urand":         "f5daafca482cbe025a87dfc8174dfb29f3bb071f011122a29eef86e8fef53ce9",
+		"PR-orkut":         "c8df02443c8beca1dbb8d02f313d8e8b3a208bb8df6cc7ecc1d07a040efe2c12",
+		"PR-livejournal":   "df4652c0c893d6483cf64f5979bc417abc6fecd2651e7903796a8a2b894368d5",
+		"PR-road":          "cd6a39d5f102576ce70962c268909a49f15baeb48d2ea4e0b6a93ed6f3004903",
+		"SSSP-kron":        "f64a4388270ceb98ddb462c0329fb4091451de2029da60eb976f46de6f29e029",
+		"SSSP-urand":       "2edab78007fc5e4af19ec0892f2e9ca2a9b3e303ed0c0a51a5b1bfe48cea09c3",
+		"SSSP-orkut":       "e06f9a57e46a12c3dd9657b5b9d08a59ac40dcd77e481156f2450626ef57fc5c",
+		"SSSP-livejournal": "5d8217224a5eaa640f1b94c6a06a7d509b2daf3860967484373729621a894a3b",
+		"SSSP-road":        "c529a1c7486c9189cebbd48303fad86e521899e543564d62e8072fcc842d6b36",
+		"CC-kron":          "ce3701e89ec996dfdc29f330e9b917b29753c519ebe7dbe552e69d31954a2ea0",
+		"CC-urand":         "3eaaeee25f4905729f27d448a36f95494eba6bb36e62eeac711ff69563d3ebe3",
+		"CC-orkut":         "bc232ca5b88ae3f1d518a53ce655c915a21fb6ee7f89d1c0450a17183f87a797",
+		"CC-livejournal":   "c1a70d37eb7d8e9558fc1f55372c343b1ae4e923e9ab36c5baf589291866f57e",
+		"CC-road":          "89783d82794e1325f04a7e4e850e320a9133debee52a037a89bfcf0921945b9e",
+		"DOBFS-kron":       "7e7da574764e4b0e2ffa8b909dbcac081063ea0bff4b3c57c828dd3fdfc3e8e0",
+		"DOBFS-road":       "e75ab593c77480427c1d305f42de44b230360797943920661fec55f920adbde7",
+	}
+	check := func(name string, tr *trace.Trace) {
+		t.Helper()
+		if got := traceDigest(tr); got != want[name] {
+			t.Errorf("%s: trace digest %s, want %s", name, got, want[name])
+		}
+	}
+	for _, b := range AllBenchmarks() {
+		tr, err := GenerateTrace(b, Quick, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", b, err)
+		}
+		check(b.String(), tr)
+	}
+	for _, name := range []string{"kron", "road"} {
+		g, err := Graph(name, Quick, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := trace.Options{Cores: 4, MaxEvents: Quick.MaxEvents()}
+		tr, _ := trace.DOBFS(g, g.Transpose(), graph.LargestComponentSource(g), 0, 0, opt)
+		check("DOBFS-"+name, tr)
+	}
+}
+
 func TestGraphCaching(t *testing.T) {
 	g1, err := Graph("kron", Quick, false)
 	if err != nil {
