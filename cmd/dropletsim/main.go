@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -479,8 +480,11 @@ func runWithTelemetry(rf runFlags, rv simreq.Resolved, newSink func(io.Writer) t
 
 // ------------------------------------------------------------- footprint
 
-// peakTracker samples runtime.MemStats.HeapInuse on a ticker and retains
-// the maximum (plus a final read at stop).
+// peakTracker keeps the largest live heap the collector has measured:
+// runtime/metrics' /gc/heap/live:bytes, the bytes of the objects the last
+// completed GC marked reachable, sampled on a ticker and once more at
+// stop. Garbage waiting to be collected is not counted, so the reading
+// does not depend on when the collector runs, as HeapInuse's does.
 type peakTracker struct {
 	mu   sync.Mutex
 	peak uint64
@@ -508,16 +512,15 @@ func trackPeakHeap() *peakTracker {
 }
 
 func (t *peakTracker) sample() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	live := s[0].Value.Uint64()
 	t.mu.Lock()
-	if ms.HeapInuse > t.peak {
-		t.peak = ms.HeapInuse
-	}
+	t.peak = max(t.peak, live)
 	t.mu.Unlock()
 }
 
-// stop halts the sampler and returns the peak HeapInuse in bytes.
+// stop halts the sampler and returns the peak live heap in bytes.
 func (t *peakTracker) stop() uint64 {
 	close(t.done)
 	t.wg.Wait()
@@ -528,31 +531,31 @@ func (t *peakTracker) stop() uint64 {
 }
 
 // footprintReport is the -footprint JSON schema (the CI footprint job
-// uploads it as an artifact and asserts PeakHeapInuse against its
+// uploads it as an artifact and asserts PeakHeapLive against its
 // ceiling).
 type footprintReport struct {
-	Benchmark     string `json:"benchmark"`
-	Scale         string `json:"scale"`
-	Stream        bool   `json:"stream"`
-	Cores         int    `json:"cores"`
-	Events        int64  `json:"events,omitempty"` // materialized mode only
-	Instructions  int64  `json:"instructions"`
-	Cycles        int64  `json:"cycles"`
-	PeakHeapInuse uint64 `json:"peak_heap_inuse"`
+	Benchmark    string `json:"benchmark"`
+	Scale        string `json:"scale"`
+	Stream       bool   `json:"stream"`
+	Cores        int    `json:"cores"`
+	Events       int64  `json:"events,omitempty"` // materialized mode only
+	Instructions int64  `json:"instructions"`
+	Cycles       int64  `json:"cycles"`
+	PeakHeapLive uint64 `json:"peak_heap_live"`
 }
 
 // writeFootprint writes the report for the run rv resolved to, so a
 // defaulted flag (-cores 0) reports the value the run used.
 func writeFootprint(rf runFlags, rv simreq.Resolved, r *sim.Result, events int64, peak uint64) error {
 	rep := footprintReport{
-		Benchmark:     runName(rf, rv),
-		Scale:         rv.Scale.String(),
-		Stream:        rf.stream,
-		Cores:         rv.Cores,
-		Events:        events,
-		Instructions:  r.Instructions,
-		Cycles:        r.Cycles,
-		PeakHeapInuse: peak,
+		Benchmark:    runName(rf, rv),
+		Scale:        rv.Scale.String(),
+		Stream:       rf.stream,
+		Cores:        rv.Cores,
+		Events:       events,
+		Instructions: r.Instructions,
+		Cycles:       r.Cycles,
+		PeakHeapLive: peak,
 	}
 	f, err := os.Create(rf.footprint)
 	if err != nil {

@@ -156,7 +156,7 @@ func TestFootprintReportsResolvedRun(t *testing.T) {
 		if err := json.Unmarshal(b, &got); err != nil {
 			t.Fatal(err)
 		}
-		want := footprintReport{Benchmark: tc.want, Scale: "quick", Cores: 4, Events: 11, Instructions: 7, Cycles: 9, PeakHeapInuse: 13}
+		want := footprintReport{Benchmark: tc.want, Scale: "quick", Cores: 4, Events: 11, Instructions: 7, Cycles: 9, PeakHeapLive: 13}
 		if got != want {
 			t.Errorf("%v: footprint report = %+v, want %+v", tc.args, got, want)
 		}

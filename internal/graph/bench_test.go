@@ -28,6 +28,18 @@ func BenchmarkKronScale17(b *testing.B) {
 	}
 }
 
+// BenchmarkGrid256 builds the graph the bfs-road-stream benchmark
+// workload builds in its setup: Grid(256, 256). Its lists stay below
+// radixMin and it counts and scatters on one worker, so with
+// BenchmarkKronScale17 it covers both sides of both rules.
+func BenchmarkGrid256(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := Grid(256, 256, GenOptions{Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTranspose times the counting-sort transpose, on a directed
 // graph: a symmetrized one is its own transpose.
 func BenchmarkTranspose(b *testing.B) {

@@ -273,6 +273,19 @@ func referenceFromEdges(edges []Edge, opt BuildOptions) (*CSR, error) {
 	return g, nil
 }
 
+// unpack turns packed edges, and their weights when ws is not nil, back
+// into Edges.
+func unpack(uv []uint64, ws []int32) []Edge {
+	edges := make([]Edge, len(uv))
+	for i, e := range uv {
+		edges[i] = Edge{U: uint32(e >> 32), V: uint32(e)}
+		if ws != nil {
+			edges[i].W = ws[i]
+		}
+	}
+	return edges
+}
+
 // sameCSR reports whether two CSRs hold the same offsets, neighbors and
 // weights (nil weights only match nil weights).
 func sameCSR(a, b *CSR) bool {
@@ -290,16 +303,38 @@ func randomEdges(r *RNG, n, m int) []Edge {
 	return edges
 }
 
+// denseEdges draws m edges over n vertices, half of them from vertex 0,
+// so with tens of edges per vertex vertex 0's list passes radixMin and
+// every list is full of duplicate neighbors. Weights span ±1000, so
+// parallel edges mostly differ in weight.
+func denseEdges(r *RNG, n, m int) []Edge {
+	edges := make([]Edge, m)
+	for i := range edges {
+		u := 0
+		if r.Intn(2) == 0 {
+			u = r.Intn(n)
+		}
+		edges[i] = Edge{U: uint32(u), V: uint32(r.Intn(n)), W: int32(r.Intn(2001)) - 1000}
+	}
+	return edges
+}
+
 // TestFromEdgesMatchesReference checks FromEdges against the reference
 // construction on random edge lists under every combination of options,
 // including a NumVertices too small for the IDs, which both must reject
-// with the same error. It builds each list with one worker and with
-// three, so the graphs of fewer than three vertices also sort empty runs.
+// with the same error. The first 200 trials draw at most 4n edges; the
+// last 100 draw up to 40n dense ones, whose long lists take the radix
+// sort and whose edges are split among up to three count-and-scatter
+// workers. It builds each list with one, two and three workers, so the
+// graphs of fewer than three vertices also sort empty runs.
 func TestFromEdgesMatchesReference(t *testing.T) {
 	r := NewRNG(3)
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n := 1 + r.Intn(24)
 		edges := randomEdges(r, n, r.Intn(4*n+1))
+		if trial >= 200 {
+			edges = denseEdges(r, n, r.Intn(40*n+1))
+		}
 		for mask := 0; mask < 16; mask++ {
 			for _, nv := range []int{0, n - 1, n, n + 3} {
 				opt := BuildOptions{
@@ -310,7 +345,7 @@ func TestFromEdgesMatchesReference(t *testing.T) {
 					Weighted:      mask&8 != 0,
 				}
 				want, wantErr := referenceFromEdges(edges, opt)
-				for _, workers := range []int{1, 3} {
+				for _, workers := range []int{1, 2, 3} {
 					got, err := fromEdges(edges, opt, workers)
 					if wantErr != nil || err != nil {
 						if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
@@ -325,6 +360,108 @@ func TestFromEdgesMatchesReference(t *testing.T) {
 						t.Fatalf("trial %d %+v, %d workers on %v:\n got %v %v %v\nwant %v %v %v", trial, opt, workers, edges,
 							got.offsets, got.neigh, got.weights, want.offsets, want.neigh, want.weights)
 					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzFromEdges decodes the fuzz bytes into a build and checks it
+// against referenceFromEdges. The first byte holds the four BuildOptions
+// flags (bits 0–3), whether NumVertices is fixed at n (bit 4) and the
+// worker count, 1–4 (bits 5–6); the second sets n, 1–64; each later
+// three bytes are one edge: source and destination mod n and a signed
+// weight byte.
+func FuzzFromEdges(f *testing.F) {
+	// hub is radixMin edges from vertex 0 of 4, on 4 workers: vertex 0's
+	// list reaches radixMin, the edges are counted and scattered by 4
+	// workers, and parallel edges differ in weight.
+	hub := func(flags byte) []byte {
+		b := []byte{flags | 0x60, 3}
+		for i := range radixMin {
+			b = append(b, 0, byte(i), byte(i*37))
+		}
+		return b
+	}
+	for _, seed := range [][]byte{
+		hub(0x03), // symmetrized, deduped
+		hub(0x0b), // symmetrized, deduped, weighted
+		{0x7b, 3, 0, 1, 5, 0, 1, 0xfd, 1, 0, 9, 2, 1, 4, 2, 2, 7},
+		{0x46, 5, 1, 1, 0, 1, 1, 0, 4, 0, 0},
+		{0x00, 1},
+		{},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		flags, n := data[0], 1+int(data[1]%64)
+		opt := BuildOptions{
+			Symmetrize:    flags&1 != 0,
+			Dedupe:        flags&2 != 0,
+			DropSelfLoops: flags&4 != 0,
+			Weighted:      flags&8 != 0,
+		}
+		if flags&16 != 0 {
+			opt.NumVertices = n
+		}
+		workers := 1 + int(flags>>5&3)
+		var edges []Edge
+		for b := data[2:]; len(b) >= 3; b = b[3:] {
+			edges = append(edges, Edge{U: uint32(int(b[0]) % n), V: uint32(int(b[1]) % n), W: int32(int8(b[2]))})
+		}
+		got, err := fromEdges(edges, opt, workers)
+		if err != nil {
+			t.Fatalf("%+v, %d workers: %v", opt, workers, err)
+		}
+		want, err := referenceFromEdges(edges, opt)
+		if err != nil {
+			t.Fatalf("%+v: reference: %v", opt, err)
+		}
+		if !sameCSR(got, want) {
+			t.Fatalf("%+v, %d workers on %v:\n got %v %v %v\nwant %v %v %v", opt, workers, edges,
+				got.offsets, got.neigh, got.weights, want.offsets, want.neigh, want.weights)
+		}
+	})
+}
+
+// TestRadixSortMatchesSlicesSort checks the radix sort against
+// slices.Sort on lists around radixMin long and one of 1000, for vertex
+// counts that need one, two and three passes, on random lists holding
+// the largest ID and on all-equal, sorted and reversed ones. One sorter
+// sorts every list of a vertex count, as one worker's does.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	r := NewRNG(5)
+	for _, tc := range []struct{ n, passes int }{
+		{1, 1}, {2, 1}, {1 << 11, 1}, {1<<11 + 1, 2}, {1 << 17, 2}, {1 << 22, 2}, {1<<22 + 1, 3}, {MaxVertices, 3},
+	} {
+		rs := newRadixSorter(tc.n)
+		if rs.passes != tc.passes {
+			t.Errorf("%d vertices: %d passes, want %d", tc.n, rs.passes, tc.passes)
+		}
+		top := uint32(tc.n - 1)
+		for _, length := range []int{radixMin - 1, radixMin, radixMin + 1, 1000} {
+			random := make([]uint32, length)
+			for i := range random {
+				random[i] = uint32(r.Intn(tc.n))
+			}
+			random[length/2] = top
+			sorted := slices.Sorted(slices.Values(random))
+			reversed := slices.Clone(sorted)
+			slices.Reverse(reversed)
+			for _, list := range []struct {
+				name string
+				ids  []uint32
+			}{
+				{"random", random}, {"all-equal", slices.Repeat([]uint32{top}, length)},
+				{"sorted", sorted}, {"reversed", reversed},
+			} {
+				got := slices.Clone(list.ids)
+				rs.sort(got)
+				if want := slices.Sorted(slices.Values(list.ids)); !slices.Equal(got, want) {
+					t.Fatalf("%d vertices, %s list of %d: radix sort gives %v, want %v", tc.n, list.name, length, got, want)
 				}
 			}
 		}

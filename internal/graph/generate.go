@@ -21,18 +21,21 @@ func (o GenOptions) maxWeight() int32 {
 	return o.MaxWeight
 }
 
-// assignWeights gives edge i a weight in [1, MaxWeight] from r's i-th
-// draw, drawing in workers ranges.
-func (o GenOptions) assignWeights(edges []Edge, r *RNG, workers int) {
+// drawWeights returns m edges' weights, edge i's in [1, MaxWeight] from
+// r's i-th draw, drawn in workers ranges; nil, drawing nothing, when the
+// graph is unweighted.
+func (o GenOptions) drawWeights(m int, r *RNG, workers int) []int32 {
 	if !o.Weighted {
-		return
+		return nil
 	}
 	mw := int(o.maxWeight())
-	drawEdges(r, workers, edges, 1, func(r *RNG, part []Edge) {
-		for i := range part {
-			part[i].W = 1 + int32(r.Intn(mw))
+	w := make([]int32, m)
+	drawEdges(r, workers, m, 1, func(r *RNG, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w[i] = 1 + int32(r.Intn(mw))
 		}
 	})
+	return w
 }
 
 // RMAT generates a 2^scale-vertex RMAT graph with degree*2^scale edges
@@ -60,20 +63,19 @@ func rmat(scale, degree int, a, b, c float64, opt GenOptions, workers int) (*CSR
 	m := n * degree
 	r := NewRNG(opt.Seed ^ 0x7a3d_91c4_55aa_0f0f)
 	q := newRMATQuadrants(a, b, c)
-	edges := make([]Edge, m)
-	drawEdges(r, workers, edges, scale, func(r *RNG, part []Edge) {
-		for i := range part {
+	uv := make([]uint64, m)
+	drawEdges(r, workers, m, scale, func(r *RNG, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			var u, v uint32
 			for range scale {
 				bu, bv := q.pick(r.Uint64() >> 11)
 				u = u<<1 | bu
 				v = v<<1 | bv
 			}
-			part[i] = Edge{U: u, V: v}
+			uv[i] = pack(u, v)
 		}
 	})
-	opt.assignWeights(edges, r, workers)
-	return fromEdges(edges, BuildOptions{
+	return build(uv, opt.drawWeights(m, r, workers), BuildOptions{
 		NumVertices:   n,
 		Symmetrize:    opt.Symmetrize,
 		Dedupe:        true,
@@ -154,14 +156,14 @@ func uniform(scale, degree int, opt GenOptions, workers int) (*CSR, error) {
 	n := 1 << scale
 	m := n * degree
 	r := NewRNG(opt.Seed ^ 0x1234_5678_9abc_def0)
-	edges := make([]Edge, m)
-	drawEdges(r, workers, edges, 2, func(r *RNG, part []Edge) {
-		for i := range part {
-			part[i] = Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))}
+	uv := make([]uint64, m)
+	drawEdges(r, workers, m, 2, func(r *RNG, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			u := uint32(r.Intn(n))
+			uv[i] = pack(u, uint32(r.Intn(n)))
 		}
 	})
-	opt.assignWeights(edges, r, workers)
-	return fromEdges(edges, BuildOptions{
+	return build(uv, opt.drawWeights(m, r, workers), BuildOptions{
 		NumVertices:   n,
 		Symmetrize:    opt.Symmetrize,
 		Dedupe:        true,
@@ -189,23 +191,23 @@ func grid(rows, cols int, opt GenOptions, workers int) (*CSR, error) {
 	n := rows * cols
 	id := func(rr, cc int) uint32 { return uint32(rr*cols + cc) }
 	r := NewRNG(opt.Seed ^ 0xfeed_f00d_dead_beef)
-	edges := make([]Edge, 0, 2*n+n/16)
+	uv := make([]uint64, 0, 2*n+n/16)
 	for rr := 0; rr < rows; rr++ {
 		for cc := 0; cc < cols; cc++ {
 			if cc+1 < cols {
-				edges = append(edges, Edge{U: id(rr, cc), V: id(rr, cc+1)})
+				uv = append(uv, pack(id(rr, cc), id(rr, cc+1)))
 			}
 			if rr+1 < rows {
-				edges = append(edges, Edge{U: id(rr, cc), V: id(rr+1, cc)})
+				uv = append(uv, pack(id(rr, cc), id(rr+1, cc)))
 			}
 		}
 	}
 	// Sparse shortcut edges (~1/16 of vertices) emulate highway ramps.
 	for i := 0; i < n/16; i++ {
-		edges = append(edges, Edge{U: uint32(r.Intn(n)), V: uint32(r.Intn(n))})
+		u := uint32(r.Intn(n))
+		uv = append(uv, pack(u, uint32(r.Intn(n))))
 	}
-	opt.assignWeights(edges, r, workers)
-	return fromEdges(edges, BuildOptions{
+	return build(uv, opt.drawWeights(len(uv), r, workers), BuildOptions{
 		NumVertices:   n,
 		Symmetrize:    true, // roads are undirected
 		Dedupe:        true,
@@ -235,14 +237,13 @@ func socialNetwork(scale, degree int, opt GenOptions, workers int) (*CSR, error)
 	}
 	r := NewRNG(opt.Seed ^ 0x9e11_a5e5)
 	perm := r.Perm(g.NumVertices())
-	edges := make([]Edge, 0, g.NumEdges())
+	uv := make([]uint64, 0, g.NumEdges())
 	for u := 0; u < g.NumVertices(); u++ {
 		for _, v := range g.Neighbors(uint32(u)) {
-			edges = append(edges, Edge{U: perm[u], V: perm[v]})
+			uv = append(uv, pack(perm[u], perm[v]))
 		}
 	}
-	opt.assignWeights(edges, r, workers)
-	return fromEdges(edges, BuildOptions{
+	return build(uv, opt.drawWeights(len(uv), r, workers), BuildOptions{
 		NumVertices:   g.NumVertices(),
 		Symmetrize:    opt.Symmetrize,
 		Dedupe:        true,

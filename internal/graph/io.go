@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -15,18 +16,18 @@ import (
 // Weights present in the input are kept only when opt.Weighted is set;
 // absent weights default to 1.
 func ReadEdgeList(r io.Reader, opt BuildOptions) (*CSR, error) {
-	edges, err := parseEdgeList(r)
+	uv, w, err := parseEdgeList(r, opt.Weighted)
 	if err != nil {
 		return nil, err
 	}
-	return FromEdges(edges, opt)
+	return build(uv, w, opt, runtime.GOMAXPROCS(0))
 }
 
-// parseEdgeList parses ReadEdgeList's format into an edge list.
-func parseEdgeList(r io.Reader) ([]Edge, error) {
+// parseEdgeList parses ReadEdgeList's format straight into the build's
+// packed edges, and their weights only when weighted.
+func parseEdgeList(r io.Reader, weighted bool) (uv []uint64, ws []int32, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	var edges []Edge
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -36,29 +37,32 @@ func parseEdgeList(r io.Reader) ([]Edge, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", lineNo, line)
+			return nil, nil, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", lineNo, line)
 		}
 		u, err := strconv.ParseUint(fields[0], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source: %w", lineNo, err)
+			return nil, nil, fmt.Errorf("graph: line %d: bad source: %w", lineNo, err)
 		}
 		v, err := strconv.ParseUint(fields[1], 10, 32)
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad destination: %w", lineNo, err)
+			return nil, nil, fmt.Errorf("graph: line %d: bad destination: %w", lineNo, err)
 		}
 		w := int64(1)
 		if len(fields) >= 3 {
 			w, err = strconv.ParseInt(fields[2], 10, 32)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight: %w", lineNo, err)
+				return nil, nil, fmt.Errorf("graph: line %d: bad weight: %w", lineNo, err)
 			}
 		}
-		edges = append(edges, Edge{U: uint32(u), V: uint32(v), W: int32(w)})
+		uv = append(uv, pack(uint32(u), uint32(v)))
+		if weighted {
+			ws = append(ws, int32(w))
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: read: %w", err)
+		return nil, nil, fmt.Errorf("graph: read: %w", err)
 	}
-	return edges, nil
+	return uv, ws, nil
 }
 
 // WriteEdgeList writes g in the format ReadEdgeList parses ("u v" per

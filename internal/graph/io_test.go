@@ -156,14 +156,15 @@ func FuzzReadEdgeList(f *testing.F) {
 		if opt.Symmetrize && !sameCSR(g.transpose(), g) {
 			t.Fatalf("%+v: symmetrized graph differs from its transpose", opt)
 		}
-		edges, err := parseEdgeList(bytes.NewReader(data))
+		uv, ws, err := parseEdgeList(bytes.NewReader(data), opt.Weighted)
 		if err != nil {
 			t.Fatalf("parseEdgeList rejects what ReadEdgeList accepted: %v", err)
 		}
-		one, err := fromEdges(edges, opt, 1)
+		one, err := build(uv, ws, opt, 1)
 		if err != nil {
 			t.Fatalf("%+v: one worker: %v", opt, err)
 		}
+		edges := unpack(uv, ws)
 		ref, err := referenceFromEdges(edges, opt)
 		if err != nil {
 			t.Fatalf("%+v: reference: %v", opt, err)

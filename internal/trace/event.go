@@ -43,7 +43,10 @@ type Trace struct {
 	Layout  *Layout
 	PerCore [][]Event
 	// Instructions is the total instruction count across cores, including
-	// compute instructions not stored as events (the MPKI denominator).
+	// compute instructions not stored as events. A truncated trace counts
+	// the kernel's instructions past the event budget too, so this is not
+	// the MPKI denominator: MPKI divides by sim.Result.Instructions, the
+	// instructions the simulated cores dispatched.
 	Instructions int64
 	// Truncated reports that the event budget was reached and the tail of
 	// the execution is not in the trace (the simulated ROI ended).

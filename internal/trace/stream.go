@@ -168,10 +168,12 @@ func (s *Stream) Stop() {
 	})
 }
 
-// Instructions returns the total instruction count across cores (the
-// MPKI denominator, identical to Trace.Instructions). Valid only after
-// every source has been drained to EOF; it returns 0 on a stopped or
-// undrained stream.
+// Instructions returns the total instruction count across cores,
+// identical to Trace.Instructions: a truncated stream's count includes
+// the kernel's instructions past the event budget, so it is not the MPKI
+// denominator (sim.Result.Instructions is). Valid only after every
+// source has been drained to EOF; it returns 0 on a stopped or undrained
+// stream.
 func (s *Stream) Instructions() int64 { return s.srcs[0].insts }
 
 // Truncated reports whether the event budget truncated the stream.

@@ -313,8 +313,20 @@ func Graph(dataset string, sc Scale, weighted bool) (*graph.CSR, error) {
 		graphCache.graphs[key] = e
 	}
 	graphCache.Unlock()
-	e.once.Do(func() { e.g, e.err = d.Build(sc, weighted) })
+	e.once.Do(func() { e.g, e.err = buildGraph(d, sc, weighted) })
 	return e.g, e.err
+}
+
+// buildGraph runs d's Build, returning a panic in it as an error: the
+// error is then the cache entry's, so every request for the graph fails
+// alike and the process goes on.
+func buildGraph(d Dataset, sc Scale, weighted bool) (g *graph.CSR, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			g, err = nil, fmt.Errorf("workload: building %s at %v: panic: %v", d.Name, sc, p)
+		}
+	}()
+	return d.Build(sc, weighted)
 }
 
 // traceInputs resolves the shared inputs of GenerateTrace and

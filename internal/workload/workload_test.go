@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -225,6 +228,29 @@ func TestGraphCaching(t *testing.T) {
 	}
 	if !gw.Weighted() {
 		t.Error("weighted graph not weighted")
+	}
+}
+
+// TestGraphBuildPanicIsAnError checks that a dataset whose Build panics
+// makes Graph return an error naming the panic, on the first request and
+// on a later one, rather than ending the process or caching a nil graph.
+func TestGraphBuildPanicIsAnError(t *testing.T) {
+	const name = "panicky"
+	saved := Datasets
+	Datasets = append(slices.Clip(Datasets), Dataset{Name: name, Build: func(Scale, bool) (*graph.CSR, error) {
+		panic("generator bug")
+	}})
+	t.Cleanup(func() {
+		Datasets = saved
+		graphCache.Lock()
+		delete(graphCache.graphs, fmt.Sprintf("%s/%v/%v", name, Quick, false))
+		graphCache.Unlock()
+	})
+	for call := 1; call <= 2; call++ {
+		g, err := Graph(name, Quick, false)
+		if g != nil || err == nil || !strings.Contains(err.Error(), "panic: generator bug") {
+			t.Fatalf("call %d: Graph = %v, %v; want an error naming the panic", call, g, err)
+		}
 	}
 }
 
